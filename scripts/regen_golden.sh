@@ -64,6 +64,16 @@ echo "wrote tests/golden/codegen_example8.json"
 "$LMRE" codegen --json tests/golden/example10.loop \
   > tests/golden/codegen_example10.json
 echo "wrote tests/golden/codegen_example10.json"
+# Non-identity plans: a 2-D skew, and two skewed + tiled orders.
+"$LMRE" codegen --json --plan="2 1; 1 1" examples/loops/fir.loop \
+  > tests/golden/codegen_fir_skew.json
+echo "wrote tests/golden/codegen_fir_skew.json"
+"$LMRE" codegen --json --plan="1 0 0; 1 1 0; 0 0 1 | tile:4,4,4" \
+  examples/loops/matmult.loop > tests/golden/codegen_matmult_tiled.json
+echo "wrote tests/golden/codegen_matmult_tiled.json"
+"$LMRE" codegen --json --plan="1 1; 0 1 | tile:3,4" \
+  examples/loops/row_sum.loop > tests/golden/codegen_row_sum_tiled.json
+echo "wrote tests/golden/codegen_row_sum_tiled.json"
 
 # Miss-ratio curves (src/mrc): exact reuse-distance histograms + curves for
 # the paper's Examples 6, 8 and 10 under the identity order, plus the

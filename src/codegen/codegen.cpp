@@ -4,12 +4,12 @@
 #include <cctype>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "layout/layout.h"
+#include "exact/trace_engine.h"
 #include "polyhedra/scanner.h"
 #include "support/error.h"
 #include "support/text.h"
@@ -85,23 +85,10 @@ std::string bounds_c(const std::vector<Bound>& bs,
   return out;
 }
 
-// Per-element access history from the host walk of the emitted order.
-// Times are access ordinals (t), iterations are point ordinals (it).
-struct ElemInfo {
-  Int addr = 0;
-  Int first_t = 0, last_t = 0;
-  Int first_it = 0, last_it = 0;
-  bool first_read = false;
-  bool written = false;
-};
-
 struct ArrayPlan {
   ArrayId id;
   std::string cname;
-  LayoutSpec layout;
   Int region;
-  std::unordered_map<Int, size_t> index;  // addr -> elems slot
-  std::vector<ElemInfo> elems;            // first-access order
   BufferPlan out;
 };
 
@@ -115,14 +102,62 @@ struct RefPlan {
   IntVec coef_u;
 };
 
-bool collision_free(const std::vector<ElemInfo>& elems, Int m) {
-  std::vector<Int> last(static_cast<size_t>(m), -1);
-  for (const ElemInfo& e : elems) {
+// Access-ordinal span of one element of the emitted order.
+struct Span {
+  Int addr = 0;
+  Int first_t = 0, last_t = 0;
+};
+
+// `elems` in first-access order; `last` is scratch reused across probes.
+bool collision_free(const std::vector<Span>& elems, Int m,
+                    std::vector<Int>& last) {
+  last.assign(static_cast<size_t>(m), -1);
+  for (const Span& e : elems) {
     size_t r = static_cast<size_t>(mod_floor(e.addr, m));
     if (last[r] >= e.first_t) return false;
     last[r] = e.last_t;
   }
   return true;
+}
+
+// Rows of the tiled order: tiles anchored at the space's per-axis minimum
+// `base`, in lexicographic tile order, lexicographic within each tile --
+// the shape of the loops emit_exec_loops prints.
+void tiled_rows(const LoopBounds& fm, const IntVec& base, const IntVec& umax,
+                const std::vector<Int>& tiles, const RowVisitor& emit) {
+  const size_t n = fm.depth();
+  IntVec u(n), tau(n);
+  std::function<void(size_t)> point = [&](size_t k) {
+    Int lo, hi;
+    if (!fm.range(k, u, lo, hi)) return;
+    Int tb = checked_add(base[k], checked_mul(tau[k], tiles[k]));
+    Int plo = std::max(lo, tb);
+    Int phi = std::min(hi, checked_add(tb, tiles[k] - 1));
+    if (k + 1 == n) {
+      if (plo <= phi) {
+        u[k] = plo;
+        emit(u, plo, phi);
+      }
+    } else {
+      for (Int v = plo; v <= phi; ++v) {
+        u[k] = v;
+        point(k + 1);
+      }
+    }
+    u[k] = 0;
+  };
+  std::function<void(size_t)> tile = [&](size_t k) {
+    if (k == n) {
+      point(0);
+      return;
+    }
+    Int tmax = floor_div(checked_sub(umax[k], base[k]), tiles[k]);
+    for (Int tv = 0; tv <= tmax; ++tv) {
+      tau[k] = tv;
+      tile(k + 1);
+    }
+  };
+  tile(0);
 }
 
 }  // namespace
@@ -151,7 +186,7 @@ CodegenResult emit_c(const LoopNest& nest, const VerifyPlan& plan,
       if (s < 1) throw UnsupportedError("codegen: tile sizes must be >= 1");
     }
   }
-  if (nest.iteration_count() <= 0) {
+  if (n == 0 || nest.iteration_count() <= 0) {
     throw UnsupportedError("codegen: empty iteration space");
   }
   if (nest.iteration_count() > opts.trace_limit) {
@@ -168,174 +203,109 @@ CodegenResult emit_c(const LoopNest& nest, const VerifyPlan& plan,
   const IntMat& t_inv = tn.inverse();
   LoopBounds fm = tn.bounds();
 
-  // --- referenced arrays and linearized references ---------------------
-  std::vector<ArrayPlan> arrays;
-  std::unordered_map<ArrayId, size_t> arr_slot;
-  for (const Statement& stmt : nest.statements()) {
-    for (const ArrayRef& ref : stmt.refs) {
-      if (arr_slot.count(ref.array)) continue;
-      arr_slot[ref.array] = arrays.size();
-      LayoutSpec layout = LayoutSpec::fit(nest, ref.array);
-      Int region = layout.size();
-      arrays.push_back(ArrayPlan{ref.array,
-                                 c_ident(nest.array(ref.array).name), layout,
-                                 region,
-                                 {},
-                                 {},
-                                 BufferPlan{}});
-    }
+  // --- address plan of the emitted execution order --------------------
+  // The dense engine's per-array boxes are the row-major boxes
+  // LayoutSpec::fit derives (the union of every subscript's range), so
+  // regions, addresses and modulus residues are those of the touched
+  // layout.  Refs follow the value-liveness order: each statement's reads,
+  // then its writes -- the order the emitted body performs them in.
+  std::optional<AddressPlan> aplan =
+      AddressPlan::build(nest, &t_inv, /*liveness_order=*/true, /*slabs=*/1);
+  if (!aplan) {
+    throw OverflowError("codegen: addresses exceed the trace engine's range");
   }
-  // Deterministic emission order: by ArrayId.
-  std::sort(arrays.begin(), arrays.end(),
-            [](const ArrayPlan& a, const ArrayPlan& b) { return a.id < b.id; });
-  for (size_t s = 0; s < arrays.size(); ++s) arr_slot[arrays[s].id] = s;
-
-  // refs[stmt] split into emitted access order: reads first, then writes.
+  std::vector<ArrayPlan> arrays;  // ArrayId order, one per plan store
+  for (const AddressPlan::Store& st : aplan->stores) {
+    arrays.push_back(ArrayPlan{st.array, c_ident(nest.array(st.array).name),
+                               st.volume, BufferPlan{}});
+  }
   std::vector<std::vector<RefPlan>> reads(nest.statements().size());
   std::vector<std::vector<RefPlan>> writes(nest.statements().size());
+  size_t next_ref = 0;
   for (size_t si = 0; si < nest.statements().size(); ++si) {
-    for (const ArrayRef& ref : nest.statements()[si].refs) {
-      const ArrayPlan& ap = arrays[arr_slot[ref.array]];
-      std::vector<Int> lo(ap.layout.origin().data());
-      std::vector<Int> stride(ap.layout.extents().size(), 1);
-      for (size_t d = stride.size(); d-- > 1;) {
-        stride[d - 1] = checked_mul(stride[d], ap.layout.extents()[d]);
+    for (bool write : {false, true}) {
+      for (const ArrayRef& ref : nest.statements()[si].refs) {
+        if (ref.is_write() != write) continue;
+        const AddressPlan::Ref& ar = aplan->refs[next_ref++];
+        const AddressPlan::Store& st = aplan->stores[ar.store];
+        RefPlan rp;
+        rp.arr_slot = ar.store;
+        rp.write = write;
+        ref.linearize(st.lo, st.stride, &rp.coef_i, &rp.c0);
+        rp.coef_u = IntVec(ar.coef);
+        (write ? writes[si] : reads[si]).push_back(std::move(rp));
       }
-      RefPlan rp;
-      rp.arr_slot = arr_slot[ref.array];
-      rp.write = ref.is_write();
-      ref.linearize(lo, stride, &rp.coef_i, &rp.c0);
-      rp.coef_u = IntVec(n);
-      for (size_t k = 0; k < n; ++k) {
-        Int acc = 0;
-        for (size_t d = 0; d < n; ++d) {
-          acc = checked_add(acc, checked_mul(rp.coef_i[d], t_inv(d, k)));
-        }
-        rp.coef_u[k] = acc;
-      }
-      (rp.write ? writes[si] : reads[si]).push_back(std::move(rp));
     }
   }
 
-  // --- host walk of the emitted execution order ------------------------
-  // Pass 1: transformed-space extent (tile anchor) and iteration count.
-  bool any = false;
+  // Transformed-space extent (the tile anchor) in closed form: interval
+  // arithmetic of each row of T over the box is exact, and a unimodular T
+  // maps the box's points one to one.
+  const IntBox& box = nest.bounds();
   IntVec base(n), umax(n);
-  Int iters = 0;
-  scan(fm, [&](const IntVec& u) {
-    if (!any) {
-      base = u;
-      umax = u;
-      any = true;
-    } else {
-      for (size_t k = 0; k < n; ++k) {
-        base[k] = std::min(base[k], u[k]);
-        umax[k] = std::max(umax[k], u[k]);
-      }
+  for (size_t k = 0; k < n; ++k) {
+    for (size_t j = 0; j < n; ++j) {
+      const Int a = res.combined(k, j);
+      const Range& r = box.range(j);
+      base[k] = checked_add(base[k], checked_mul(a, a >= 0 ? r.lo : r.hi));
+      umax[k] = checked_add(umax[k], checked_mul(a, a >= 0 ? r.hi : r.lo));
     }
-    ++iters;
-  });
-  if (!any) throw UnsupportedError("codegen: empty iteration space");
+  }
+  const Int iters = nest.iteration_count();
   res.iterations = iters;
 
-  // The emitted order: plain lexicographic scan of the FM bounds, or --
-  // with tiling -- tiles (anchored at the space's per-axis minimum) in
-  // lexicographic order, lexicographic within each tile.  The generated C
-  // loops below mirror this walk shape for shape.
-  auto for_each_point = [&](const std::function<void(const IntVec&)>& fn) {
-    if (tiles.empty()) {
-      scan(fm, fn);
-      return;
+  // --- trace of the emitted order on the dense engine -------------------
+  // Access ordinal t = iteration * R + r over the R refs per iteration;
+  // the store tag carries first_read / written, and every array's
+  // first-access order is recorded on first touch.
+  const Int nrefs = static_cast<Int>(aplan->refs.size());
+  (void)checked_mul(iters, nrefs);  // every access ordinal fits
+  TraceArena arena;
+  arena.prepare(*aplan, /*slabs=*/1, /*with_state=*/true);
+  std::vector<TraceArena::StoreBuf*> bufs;
+  for (const AddressPlan::Ref& ar : aplan->refs) {
+    bufs.push_back(&arena.store(0, ar.store));
+  }
+  std::vector<std::vector<Int>> first_order(arrays.size());
+  auto touch = [&](size_t r, Int ordinal, Int addr) {
+    const AddressPlan::Ref& ar = aplan->refs[r];
+    if (trace_detail::touch_tagged(*bufs[r], addr,
+                                   ordinal * nrefs + static_cast<Int>(r),
+                                   ar.is_write)) {
+      first_order[ar.store].push_back(addr);
     }
-    IntVec u(n), tau(n);
-    std::function<void(size_t)> point = [&](size_t k) {
-      if (k == n) {
-        fn(u);
-        return;
-      }
-      Int lo, hi;
-      if (!fm.range(k, u, lo, hi)) return;
-      Int tb = checked_add(base[k], checked_mul(tau[k], tiles[k]));
-      Int plo = std::max(lo, tb);
-      Int phi = std::min(hi, checked_add(tb, tiles[k] - 1));
-      for (Int v = plo; v <= phi; ++v) {
-        u[k] = v;
-        point(k + 1);
-      }
-      u[k] = 0;
-    };
-    std::function<void(size_t)> tile = [&](size_t k) {
-      if (k == n) {
-        point(0);
-        return;
-      }
-      Int tmax = floor_div(checked_sub(umax[k], base[k]), tiles[k]);
-      for (Int tv = 0; tv <= tmax; ++tv) {
-        tau[k] = tv;
-        tile(k + 1);
-      }
-    };
-    tile(0);
   };
-
-  // Pass 2: per-element first/last access times in that order.
-  Int it = 0, t = 0;
-  auto touch = [&](const RefPlan& rp, const IntVec& u) {
-    Int addr = rp.c0;
-    for (size_t k = 0; k < n; ++k) {
-      addr = checked_add(addr, checked_mul(rp.coef_u[k], u[k]));
-    }
-    ArrayPlan& ap = arrays[rp.arr_slot];
-    require(addr >= 0 && addr < ap.region, "codegen: address out of region");
-    auto ins = ap.index.emplace(addr, ap.elems.size());
-    if (ins.second) {
-      ElemInfo e;
-      e.addr = addr;
-      e.first_t = e.last_t = t;
-      e.first_it = e.last_it = it;
-      e.first_read = !rp.write;
-      e.written = rp.write;
-      ap.elems.push_back(e);
-    } else {
-      ElemInfo& e = ap.elems[ins.first->second];
-      e.last_t = t;
-      e.last_it = it;
-      e.written = e.written || rp.write;
-    }
-    ++t;
-  };
-  for_each_point([&](const IntVec& u) {
-    for (size_t si = 0; si < nest.statements().size(); ++si) {
-      for (const RefPlan& rp : reads[si]) touch(rp, u);
-      for (const RefPlan& rp : writes[si]) touch(rp, u);
-    }
-    ++it;
-  });
+  const Int visited =
+      tiles.empty()
+          ? drive_transformed(*aplan, nest, t_inv, touch)
+          : drive_rows(*aplan,
+                       [&](const RowVisitor& emit) {
+                         tiled_rows(fm, base, umax, tiles, emit);
+                       },
+                       touch);
+  ensure(visited == iters, "codegen: emitted order missed iterations");
+  arena.finish_run(*aplan, /*slabs=*/1);
 
   // --- window sweep, traffic prediction, modulus search ----------------
-  std::vector<Int> total_delta(static_cast<size_t>(iters) + 1, 0);
-  for (ArrayPlan& ap : arrays) {
-    std::vector<Int> delta(static_cast<size_t>(iters) + 1, 0);
-    for (const ElemInfo& e : ap.elems) {
-      if (e.first_read) ap.out.cold_loads++;
-      if (e.written) ap.out.writebacks++;
-      if (e.last_it > e.first_it) {
-        delta[static_cast<size_t>(e.first_it)]++;
-        delta[static_cast<size_t>(e.last_it)]--;
-        total_delta[static_cast<size_t>(e.first_it)]++;
-        total_delta[static_cast<size_t>(e.last_it)]--;
-      }
-    }
-    Int cur = 0, peak = 0;
-    for (Int d : delta) {
-      cur += d;
-      peak = std::max(peak, cur);
+  const TraceArena::WindowPeaks windows =
+      arena.sweep_windows(*aplan, iters, std::max<Int>(nrefs, 1));
+  std::vector<Span> spans;
+  std::vector<Int> residue_last;
+  for (size_t s = 0; s < arrays.size(); ++s) {
+    ArrayPlan& ap = arrays[s];
+    const TraceArena::StoreBuf& b = arena.store(0, s);
+    spans.clear();
+    for (Int addr : first_order[s]) {
+      const trace_detail::ElementState e = trace_detail::element_at(b, addr);
+      if (e.tag & trace_detail::kTagFirstRead) ap.out.cold_loads++;
+      if (e.tag & trace_detail::kTagWritten) ap.out.writebacks++;
+      spans.push_back(Span{addr, e.first, e.last});
     }
     ap.out.array = ap.id;
     ap.out.name = nest.array(ap.id).name;
     ap.out.declared = nest.array(ap.id).declared_size();
     ap.out.region = ap.region;
-    ap.out.mws = peak;
+    ap.out.mws = windows.per_store[s];
 
     // Smallest modulus >= the window with no two live elements sharing a
     // slot (closed access-time spans per residue class must be disjoint).
@@ -347,7 +317,7 @@ CodegenResult emit_c(const LoopNest& nest, const VerifyPlan& plan,
     Int cap = std::min<Int>(std::min<Int>(ap.region - 1, opts.modulus_limit),
                             checked_add(lo_m, 4096));
     for (Int m = lo_m; m <= cap; ++m) {
-      if (collision_free(ap.elems, m)) {
+      if (collision_free(spans, m, residue_last)) {
         best = m;
         break;
       }
@@ -358,14 +328,7 @@ CodegenResult emit_c(const LoopNest& nest, const VerifyPlan& plan,
     res.original_cells = checked_add(res.original_cells, ap.out.declared);
     res.window_cells = checked_add(res.window_cells, ap.out.modulus);
   }
-  {
-    Int cur = 0, peak = 0;
-    for (Int d : total_delta) {
-      cur += d;
-      peak = std::max(peak, cur);
-    }
-    res.mws_total = peak;
-  }
+  res.mws_total = windows.total;
 
   Int pred_loads = 0, pred_stores = 0;
   for (const ArrayPlan& ap : arrays) {
@@ -505,7 +468,7 @@ CodegenResult emit_c(const LoopNest& nest, const VerifyPlan& plan,
   os << "}\n\n";
 
   // Loop headers of the transformed (optionally tiled) nest; returns the
-  // body indent.  Mirrors for_each_point above exactly.
+  // body indent.  Mirrors the traced order (scan rows or tiled_rows).
   auto emit_exec_loops = [&](std::ostringstream& o) {
     std::string ind = "  ";
     if (!tiles.empty()) {

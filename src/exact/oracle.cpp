@@ -84,7 +84,7 @@ std::vector<TraceArena::StoreBuf*> ref_bufs(const AddressPlan& plan,
 
 // Derives TraceStats from slab 0 of a finished first/last run.  The math
 // mirrors the reference engine's stats_from_trace exactly: same map keys,
-// same delta-sweep horizons, same counter arithmetic.
+// same window horizons, same counter arithmetic.
 TraceStats stats_from_stores(const AddressPlan& plan, TraceArena& arena,
                              Int iterations) {
   TraceStats s;
@@ -95,45 +95,20 @@ TraceStats stats_from_stores(const AddressPlan& plan, TraceArena& arena,
   std::vector<Int> ref_count(plan.stores.size(), 0);
   for (const auto& r : plan.refs) ++ref_count[r.store];
 
-  const size_t horizon = static_cast<size_t>(iterations) + 1;
-  std::vector<Int> delta_total(horizon, 0);
-  std::vector<Int> d;
+  const TraceArena::WindowPeaks w = arena.sweep_windows(plan, iterations);
   for (size_t si = 0; si < plan.stores.size(); ++si) {
     const ArrayId array = plan.stores[si].array;
-    const TraceArena::StoreBuf& b = arena.store(0, si);
-    if (b.touched > 0) {
-      s.distinct[array] = b.touched;
-      s.distinct_total = checked_add(s.distinct_total, b.touched);
-    }
-    s.reuse[array] =
-        checked_sub(checked_mul(ref_count[si], iterations), b.touched);
-    d.clear();
-    trace_detail::for_each_touched(b, [&](Int first, Int last) {
-      if (first == last) return;  // never live across iterations
-      if (d.empty()) d.assign(horizon, 0);
-      d[static_cast<size_t>(first)] += 1;
-      d[static_cast<size_t>(last)] -= 1;
-      delta_total[static_cast<size_t>(first)] += 1;
-      delta_total[static_cast<size_t>(last)] -= 1;
-    });
-    if (!d.empty()) {
-      Int cur = 0, best = 0;
-      for (Int v : d) {
-        cur += v;
-        best = std::max(best, cur);
-      }
-      s.mws[array] = best;
-    } else if (b.touched > 0) {
+    const Int touched = arena.store(0, si).touched;
+    if (touched > 0) {
+      s.distinct[array] = touched;
+      s.distinct_total = checked_add(s.distinct_total, touched);
       // Touched but never live across iterations still gets an entry.
-      s.mws[array] = 0;
+      s.mws[array] = w.per_store[si];
     }
+    s.reuse[array] = checked_sub(checked_mul(ref_count[si], iterations), touched);
   }
   s.reuse_total = checked_sub(s.total_accesses, s.distinct_total);
-  Int cur = 0;
-  for (Int v : delta_total) {
-    cur += v;
-    s.mws_total = std::max(s.mws_total, cur);
-  }
+  s.mws_total = w.total;
   return s;
 }
 
@@ -331,22 +306,9 @@ std::vector<Int> window_series(const LoopNest& nest, const IntMat& t,
     return reference::window_series(nest, t);
   }
   Int iters = run_transformed(nest, *plan, t_inv, arena);
-  std::vector<Int> delta(static_cast<size_t>(iters) + 1, 0);
-  for (size_t si = 0; si < plan->stores.size(); ++si) {
-    trace_detail::for_each_touched(arena.store(0, si), [&](Int first, Int last) {
-      if (first == last) return;
-      delta[static_cast<size_t>(first)] += 1;
-      delta[static_cast<size_t>(last)] -= 1;
-    });
-  }
   std::vector<Int> series;
-  series.reserve(delta.size());
-  Int cur = 0;
-  for (Int v : delta) {
-    cur += v;
-    series.push_back(cur);
-  }
-  if (!series.empty()) series.pop_back();  // last entry is past the end
+  series.reserve(static_cast<size_t>(iters));
+  arena.sweep_windows(*plan, iters, 1, &series);
   return series;
 }
 

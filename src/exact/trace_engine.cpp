@@ -285,9 +285,8 @@ void TraceArena::merge_slabs(const AddressPlan& plan, size_t slabs) {
   }
 }
 
-void TraceArena::finish_run(const AddressPlan& plan, size_t slabs) {
-  ++stats_.runs;
-  Int bytes = 0;
+void TraceArena::account_bytes() {
+  Int bytes = static_cast<Int>(delta_.capacity() * sizeof(std::int32_t));
   for (const auto& set : slabs_) {
     for (const StoreBuf& s : set) {
       bytes += static_cast<Int>(s.first.capacity() + s.last.capacity() +
@@ -299,6 +298,11 @@ void TraceArena::finish_run(const AddressPlan& plan, size_t slabs) {
   }
   stats_.arena_bytes = bytes;
   stats_.arena_high_water_bytes = std::max(stats_.arena_high_water_bytes, bytes);
+}
+
+void TraceArena::finish_run(const AddressPlan& plan, size_t slabs) {
+  ++stats_.runs;
+  account_bytes();
   for (size_t si = 0; si < plan.stores.size(); ++si) {
     if (plan.stores[si].dense) {
       ++stats_.dense_stores;
@@ -319,6 +323,55 @@ void TraceArena::finish_run(const AddressPlan& plan, size_t slabs) {
       }
     }
   }
+}
+
+TraceArena::WindowPeaks TraceArena::sweep_windows(const AddressPlan& plan,
+                                                  Int iterations,
+                                                  Int per_iteration,
+                                                  std::vector<Int>* totals) {
+  const size_t nstores = plan.stores.size();
+  WindowPeaks w;
+  w.per_store.assign(nstores, 0);
+  if (iterations <= 0) return w;
+  // Ordinals lie in [0, iterations): one row per iteration.
+  const size_t iters = static_cast<size_t>(iterations);
+  const size_t cells = static_cast<size_t>(
+      checked_mul(iterations, static_cast<Int>(nstores)));
+  if (delta_.size() < cells) {
+    delta_.resize(cells, 0);
+    account_bytes();
+  }
+  for (size_t si = 0; si < nstores; ++si) {
+    std::int32_t* col = delta_.data() + si;
+    auto scatter = [&](Int first, Int last) {
+      if (first == last) return;  // never live across iterations
+      col[static_cast<size_t>(first) * nstores] += 1;
+      col[static_cast<size_t>(last) * nstores] -= 1;
+    };
+    if (per_iteration == 1) {
+      trace_detail::for_each_touched(store(0, si), scatter);
+    } else {
+      trace_detail::for_each_touched(store(0, si), [&](Int first, Int last) {
+        scatter(first / per_iteration, last / per_iteration);
+      });
+    }
+  }
+  std::vector<Int> cur(nstores, 0);
+  Int total = 0;
+  std::int32_t* d = delta_.data();
+  for (size_t t = 0; t < iters; ++t, d += nstores) {
+    for (size_t si = 0; si < nstores; ++si) {
+      const std::int32_t v = d[si];
+      if (v == 0) continue;
+      d[si] = 0;
+      cur[si] += v;
+      total += v;
+      w.per_store[si] = std::max(w.per_store[si], cur[si]);
+    }
+    w.total = std::max(w.total, total);
+    if (totals != nullptr) totals->push_back(total);
+  }
+  return w;
 }
 
 }  // namespace lmre

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "ir/nest.h"
@@ -141,8 +142,34 @@ class TraceArena {
   /// store kinds, occupancy, footprint high-water) into stats().
   void finish_run(const AddressPlan& plan, size_t slabs);
 
+  /// Exact windows of a finished first/last run (slab 0).
+  struct WindowPeaks {
+    std::vector<Int> per_store;  ///< max_I |W_X(I)| per plan store
+    Int total = 0;               ///< max_I of the sum over stores
+  };
+
+  /// The window sweep shared by the oracle and codegen.  An element is
+  /// live from its first to its last iteration when the two differ; each
+  /// store's lifetimes scatter +1/-1 into an interleaved int32 delta
+  /// buffer (iteration-major, one column per store), and ONE sequential
+  /// prefix pass yields every store's peak and the peak of their sum
+  /// while zeroing the buffer for the next sweep.  Stored ordinals are
+  /// divided by `per_iteration` first (codegen records access ordinals,
+  /// the oracle iteration ordinals).  int32 suffices: |delta[I]| is at
+  /// most the number of references per iteration.  When `totals` is
+  /// non-null it receives the summed window after each iteration
+  /// (window_series).
+  WindowPeaks sweep_windows(const AddressPlan& plan, Int iterations,
+                            Int per_iteration = 1,
+                            std::vector<Int>* totals = nullptr);
+
  private:
+  /// Recomputes stats_.arena_bytes (stores + delta buffer) and the
+  /// high-water mark.
+  void account_bytes();
+
   std::vector<std::vector<StoreBuf>> slabs_;
+  std::vector<std::int32_t> delta_;  ///< all zero between sweeps
   OracleStats stats_;
 };
 
@@ -209,6 +236,61 @@ inline void touch_first_last(TraceArena::StoreBuf& s, Int addr, Int ordinal) {
   s.klast[slot] = ordinal;
 }
 
+/// Tag bits of a codegen run (the store tag): the element's first access
+/// was a read (an upward-exposed value), and some access wrote it.
+constexpr unsigned char kTagFirstRead = 1;
+constexpr unsigned char kTagWritten = 2;
+
+/// Records an access at `addr` with ordinal `ordinal` into a with_state
+/// store: first/last touch plus the tag bits above.  Returns true on the
+/// element's first touch.
+inline bool touch_tagged(TraceArena::StoreBuf& s, Int addr, Int ordinal,
+                         bool write) {
+  const unsigned char w = write ? kTagWritten : 0;
+  if (s.dense) {
+    const size_t a = static_cast<size_t>(addr);
+    if (s.last[a] >= 0) {
+      s.last[a] = ordinal;
+      s.tag[a] |= w;
+      return false;
+    }
+    s.first[a] = ordinal;
+    s.last[a] = ordinal;
+    s.tag[a] = write ? kTagWritten : kTagFirstRead;
+    ++s.touched;
+    return true;
+  }
+  bool inserted = false;
+  const size_t slot = upsert_slot(s, addr, &inserted);
+  s.klast[slot] = ordinal;
+  if (!inserted) {
+    s.ktag[slot] |= w;
+    return false;
+  }
+  s.kfirst[slot] = ordinal;
+  s.ktag[slot] = write ? kTagWritten : kTagFirstRead;
+  return true;
+}
+
+/// First/last ordinals and tag of one touched element of a store.
+struct ElementState {
+  Int first = 0, last = 0;
+  unsigned char tag = 0;
+};
+
+/// Looks up a touched element of a with_state store (dense: by address;
+/// sparse: by probing).
+inline ElementState element_at(const TraceArena::StoreBuf& s, Int addr) {
+  if (s.dense) {
+    const size_t a = static_cast<size_t>(addr);
+    return {s.first[a], s.last[a], s.tag[a]};
+  }
+  const std::uint64_t key = static_cast<std::uint64_t>(addr) + 1;
+  std::uint64_t i = mix_addr(static_cast<std::uint64_t>(addr)) & s.mask;
+  while (s.keys[i] != key) i = (i + 1) & s.mask;
+  return {s.kfirst[i], s.klast[i], s.ktag[i]};
+}
+
 /// Visits every touched element of a store as fn(first, last).
 template <class Fn>
 void for_each_touched(const TraceArena::StoreBuf& s, Fn&& fn) {
@@ -236,12 +318,40 @@ inline Int plan_address(const AddressPlan::Ref& r, const IntVec& point) {
 
 }  // namespace trace_detail
 
-/// Drives the original-order scan of a rectangular (sub-)box with
-/// incremental affine stepping: per innermost row, each reference's base
-/// address is evaluated once and then advanced by its innermost coefficient
-/// per iteration.  `touch(ref_index, ordinal, addr)` runs per access;
-/// ordinals start at `ordinal0` (the caller supplies the slab's global
-/// base).
+/// Drives plan refs over the rows `rows(emit)` produces, in order: each
+/// emit(u, lo, hi) is one innermost row with u's outer coordinates set and
+/// u[n-1] == lo.  Per row, each reference's base address is evaluated once
+/// and then advanced by its innermost coefficient per iteration
+/// (incremental affine stepping).  `touch(ref_index, ordinal, addr)` runs
+/// per access; ordinals count iterations from `ordinal0` (a slab's global
+/// base).  Returns the number of iterations visited.
+template <class RowsFn, class TouchFn>
+Int drive_rows(const AddressPlan& plan, RowsFn&& rows, TouchFn&& touch,
+               Int ordinal0 = 0) {
+  const size_t n = plan.depth;
+  if (n == 0) return 0;
+  const size_t nrefs = plan.refs.size();
+  std::vector<Int> addr(nrefs);
+  std::vector<Int> step(nrefs);
+  for (size_t r = 0; r < nrefs; ++r) step[r] = plan.refs[r].coef[n - 1];
+  Int ordinal = ordinal0;
+  rows([&](const IntVec& u, Int lo, Int hi) {
+    for (size_t r = 0; r < nrefs; ++r) {
+      addr[r] = trace_detail::plan_address(plan.refs[r], u);
+    }
+    for (Int j = lo; j <= hi; ++j) {
+      for (size_t r = 0; r < nrefs; ++r) {
+        touch(r, ordinal, addr[r]);
+        addr[r] += step[r];  // one overshoot per row; bounded by the plan
+      }
+      ++ordinal;
+    }
+  });
+  return ordinal - ordinal0;
+}
+
+/// Drives the original-order scan of a rectangular (sub-)box: its rows in
+/// lexicographic order, ordinals from `ordinal0`.
 template <class TouchFn>
 void drive_box(const AddressPlan& plan, const IntBox& box, Int ordinal0,
                TouchFn&& touch) {
@@ -250,37 +360,22 @@ void drive_box(const AddressPlan& plan, const IntBox& box, Int ordinal0,
   for (size_t k = 0; k < n; ++k) {
     if (box.range(k).trip_count() <= 0) return;
   }
-  const size_t nrefs = plan.refs.size();
-  const Int inner_trip = box.range(n - 1).trip_count();
-  IntVec point(n);
-  for (size_t k = 0; k < n; ++k) point[k] = box.range(k).lo;
-  std::vector<Int> addr(nrefs);
-  std::vector<Int> step(nrefs);
-  for (size_t r = 0; r < nrefs; ++r) step[r] = plan.refs[r].coef[n - 1];
-  Int ordinal = ordinal0;
-  while (true) {
-    for (size_t r = 0; r < nrefs; ++r) {
-      addr[r] = trace_detail::plan_address(plan.refs[r], point);
-    }
-    for (Int j = 0; j < inner_trip; ++j) {
-      for (size_t r = 0; r < nrefs; ++r) {
-        touch(r, ordinal, addr[r]);
-        addr[r] += step[r];  // one overshoot per row; bounded by the plan
-      }
-      ++ordinal;
-    }
-    if (n == 1) break;
-    size_t k = n - 2;
+  auto rows = [&](auto&& emit) {
+    IntVec point(n);
+    for (size_t k = 0; k < n; ++k) point[k] = box.range(k).lo;
     while (true) {
-      if (point[k] < box.range(k).hi) {
-        ++point[k];
-        break;
+      emit(point, box.range(n - 1).lo, box.range(n - 1).hi);
+      if (n == 1) return;
+      size_t k = n - 2;
+      while (point[k] == box.range(k).hi) {
+        if (k == 0) return;
+        point[k] = box.range(k).lo;
+        --k;
       }
-      if (k == 0) return;
-      point[k] = box.range(k).lo;
-      --k;
+      ++point[k];
     }
-  }
+  };
+  drive_rows(plan, rows, std::forward<TouchFn>(touch), ordinal0);
 }
 
 /// Drives the transformed-order scan: u ranges over T * box in
@@ -301,30 +396,18 @@ Int drive_transformed(const AddressPlan& plan, const LoopNest& nest,
     AffineExpr expr(t_inv.row(k), 0);
     sys.add_range(expr, box.range(k).lo, box.range(k).hi);
   }
-  const size_t nrefs = plan.refs.size();
-  std::vector<Int> addr(nrefs);
-  std::vector<Int> step(nrefs);
-  for (size_t r = 0; r < nrefs; ++r) step[r] = plan.refs[r].coef[n - 1];
-  Int ordinal = 0;
-  scan_rows(sys, [&](const IntVec& u, Int lo, Int hi) {
-    IntVec endpoint = u;  // u[n-1] == lo
-    ensure(box.contains(t_inv * endpoint),
-           "transformed scan left the iteration space");
-    endpoint[n - 1] = hi;
-    ensure(box.contains(t_inv * endpoint),
-           "transformed scan left the iteration space");
-    for (size_t r = 0; r < nrefs; ++r) {
-      addr[r] = trace_detail::plan_address(plan.refs[r], u);
-    }
-    for (Int j = lo; j <= hi; ++j) {
-      for (size_t r = 0; r < nrefs; ++r) {
-        touch(r, ordinal, addr[r]);
-        addr[r] += step[r];
-      }
-      ++ordinal;
-    }
-  });
-  return ordinal;
+  auto rows = [&](auto&& emit) {
+    scan_rows(sys, [&](const IntVec& u, Int lo, Int hi) {
+      IntVec endpoint = u;  // u[n-1] == lo
+      ensure(box.contains(t_inv * endpoint),
+             "transformed scan left the iteration space");
+      endpoint[n - 1] = hi;
+      ensure(box.contains(t_inv * endpoint),
+             "transformed scan left the iteration space");
+      emit(u, lo, hi);
+    });
+  };
+  return drive_rows(plan, rows, std::forward<TouchFn>(touch));
 }
 
 }  // namespace lmre

@@ -691,6 +691,7 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
         opt.set("uncertified_transform", transform_json(res.transform));
         res.transform = IntMat::identity(nest.depth());
         res.method = "identity (uncertified plan downgraded)";
+        res.mws_exact = res.mws_identity;
       }
       opt.set("method", res.method);
       opt.set("transform", transform_json(res.transform));
@@ -710,12 +711,20 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
         }
       } catch (const Error&) {
       }
+      // Exact windows: reuse what optimize's re-scoring already measured,
+      // trace only what it did not (the miss-ratio objective, no re-scoring).
       if (nest.iteration_count() <= stage.verify_limit) {
-        opt.set("mws_before", simulate(nest, stage.threads, arena).mws_total);
+        opt.set("mws_before",
+                res.mws_identity
+                    ? *res.mws_identity
+                    : simulate(nest, stage.threads, arena).mws_total);
       }
       std::optional<Int> mws_after;
       if (transformed_scan_volume(nest, res.transform) <= stage.verify_limit) {
-        mws_after = simulate_transformed(nest, res.transform, arena).mws_total;
+        mws_after = res.mws_exact
+                        ? *res.mws_exact
+                        : simulate_transformed(nest, res.transform, arena)
+                              .mws_total;
         opt.set("mws_after", *mws_after);
       }
       // The chosen objective, named and valued, in every optimize envelope:

@@ -439,6 +439,18 @@ std::vector<CandidatePlan> candidate_plans(const LoopNest& nest,
   return candidates;
 }
 
+namespace {
+
+OptimizeResult result_of(const CandidatePlan& c) {
+  OptimizeResult r;
+  r.transform = c.t;
+  r.method = c.method;
+  r.predicted_mws = c.score;
+  return r;
+}
+
+}  // namespace
+
 OptimizeResult optimize_locality(const LoopNest& nest,
                                  const MinimizerOptions& opts,
                                  TraceArena& arena) {
@@ -502,11 +514,16 @@ OptimizeResult optimize_locality(const LoopNest& nest,
       }
     }
     ensure(best != nullptr, "exact verification examined no candidate");
-    return OptimizeResult{best->t, best->method, best->score};
+    OptimizeResult res = result_of(*best);
+    res.mws_exact = best_exact;
+    const IntMat identity = IntMat::identity(nest.depth());
+    for (size_t i = 0; i < unique.size(); ++i) {
+      if (unique[i]->t == identity) res.mws_identity = exact[i];
+    }
+    return res;
   }
 
-  return OptimizeResult{candidates.front().t, candidates.front().method,
-                        candidates.front().score};
+  return result_of(candidates.front());
 }
 
 MinimizerOptions minimizer_options(const RunOptions& run) {

@@ -100,6 +100,11 @@ struct OptimizeResult {
   IntMat transform;
   std::string method;  ///< "identity", "row-minimizer", "embedding(X)", "permutation"
   Int predicted_mws = 0;
+  /// Exact MWS the oracle re-scoring measured for the identity order and
+  /// for `transform`; nullopt when the nest skipped re-scoring (over the
+  /// verify limit, or verify_top_k == 0).
+  std::optional<Int> mws_identity;
+  std::optional<Int> mws_exact;
 };
 
 /// One legal transformation from the enumeration, with its analytic score.

@@ -94,6 +94,24 @@ TEST(CliMisscurve, ExplicitCapacities) {
   EXPECT_NE(s.find("64"), std::string::npos);
 }
 
+TEST(CliMisscurve, BadCapacityExitsUsage) {
+  // Junk and out-of-range capacities are usage errors with a message, not
+  // an uncaught std::stoll exception.
+  std::string file = ::testing::TempDir() + "misscurve_input.loop";
+  std::ofstream(file) << kExample8;
+  for (const char* cap : {"abc", "99999999999999999999", "-4", "12x"}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli({"misscurve", file, "64", cap}, out, err),
+              ExitCode::kUsage)
+        << cap;
+    EXPECT_NE(err.str().find(std::string("bad misscurve capacity: ") + cap),
+              std::string::npos)
+        << cap << " -> " << err.str();
+  }
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"misscurve", file, "64"}, out, err), ExitCode::kSuccess);
+}
+
 TEST(CliMisscurve, AutoSweepIncludesKnee) {
   std::ostringstream out;
   EXPECT_EQ(cmd_misscurve(kExample8, {}, out), ExitCode::kSuccess);
@@ -413,6 +431,19 @@ TEST(CliServe, RejectsMissingTransport) {
   EXPECT_EQ(run_cli({"serve"}, out, err), ExitCode::kUsage);
   EXPECT_NE(err.str().find("socket path, --tcp=HOST:PORT, or --stdio"),
             std::string::npos);
+}
+
+TEST(CliServe, HelpPrintsUsageWithoutServing) {
+  // Must return at once: no transport is bound, stdin is never read.
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"serve", "--help"}, out, err), ExitCode::kSuccess);
+  EXPECT_NE(out.str().find("usage"), std::string::npos);
+  EXPECT_NE(out.str().find("serve     <socket>|--stdio"), std::string::npos);
+  EXPECT_TRUE(err.str().empty()) << err.str();
+  std::ostringstream out2, err2;
+  EXPECT_EQ(run_cli({"serve", "--stdio", "-h"}, out2, err2),
+            ExitCode::kSuccess);
+  EXPECT_EQ(out2.str(), out.str());
 }
 
 TEST(CliServe, RejectsMultipleTransports) {

@@ -54,6 +54,50 @@ TEST(Codegen, BufferPlansAreCollisionFreeAndWindowSized) {
   EXPECT_LT(cg.footprint_ratio(), 1.0);
 }
 
+TEST(Codegen, SlotFreedByAReadServesTheSameIterationsWrite) {
+  // A[i+1] = A[i]: each iteration reads the element the previous one
+  // wrote, then writes the next.  Access order within the iteration (the
+  // read before the write) lets one cell hold the whole chain.
+  LoopNest nest = parse_nest(
+      "array A[12];\n"
+      "for i = 1 to 10\n"
+      "  A[i + 1] = A[i];\n");
+  CodegenResult cg = emit_c(nest, VerifyPlan{});
+  ASSERT_EQ(cg.buffers.size(), 1u);
+  EXPECT_EQ(cg.buffers[0].mws, 1);
+  EXPECT_EQ(cg.buffers[0].modulus, 1);
+  EXPECT_EQ(cg.buffers[0].region, 11);
+  EXPECT_EQ(cg.buffers[0].cold_loads, 1);
+  EXPECT_EQ(cg.buffers[0].writebacks, 10);
+}
+
+TEST(Codegen, SparseStrideMatchesItsDenseTwin) {
+  // A 1000-cell stride leaves the touched region 30x emptier than the
+  // box, so the host walk takes the engine's probe-table store; the
+  // bijective dense twin must plan the same windows and traffic.
+  LoopNest sparse = parse_nest(
+      "array A[12000];\n"
+      "for i = 1 to 10\n"
+      "  A[1000*i] = A[1000*i] + A[1000*i + 1000];\n");
+  LoopNest dense = parse_nest(
+      "array A[12];\n"
+      "for i = 1 to 10\n"
+      "  A[i] = A[i] + A[i + 1];\n");
+  CodegenResult s = emit_c(sparse, VerifyPlan{});
+  CodegenResult d = emit_c(dense, VerifyPlan{});
+  ASSERT_EQ(s.buffers.size(), 1u);
+  ASSERT_EQ(d.buffers.size(), 1u);
+  EXPECT_EQ(s.buffers[0].region, 10001);
+  EXPECT_EQ(s.buffers[0].mws, d.buffers[0].mws);
+  EXPECT_EQ(s.buffers[0].cold_loads, d.buffers[0].cold_loads);
+  EXPECT_EQ(s.buffers[0].writebacks, d.buffers[0].writebacks);
+  EXPECT_EQ(s.mws_total, d.mws_total);
+  EXPECT_EQ(d.buffers[0].mws, 1);
+  EXPECT_EQ(d.buffers[0].cold_loads, 11);
+  EXPECT_EQ(d.buffers[0].writebacks, 10);
+  EXPECT_GE(s.buffers[0].modulus, s.buffers[0].mws);
+}
+
 TEST(Codegen, GeneratedUnitEmbedsSelfCheck) {
   LoopNest nest = parse_nest(kSmallNest);
   CodegenOptions opts;

@@ -13,8 +13,10 @@
 // (buffer occupancy can never exceed the modulus by construction, so
 // measured MWS <= emitted buffer size), and loads/stores == the cold/
 // writeback predictions with zero reloads.  On the host side the emitted
-// window prediction is cross-checked against the exact oracle
-// (simulate_transformed / analyze_tiling) before anything is compiled.
+// window predictions (total and per array) are cross-checked against the
+// hash-map reference engine (reference::simulate_transformed, or
+// reference::simulate_order over the tiled order) before anything is
+// compiled -- independent of the dense engine the buffer planner uses.
 //
 // Kernels are batched ~16 per translation unit (standalone=false, distinct
 // stems) so the whole suite costs a handful of `cc` invocations; without a
@@ -39,6 +41,7 @@
 #include "codegen/driver.h"
 #include "codes/kernels.h"
 #include "exact/oracle.h"
+#include "exact/reference.h"
 #include "ir/builder.h"
 #include "ir/parser.h"
 #include "linalg/mat.h"
@@ -136,14 +139,28 @@ VerifyPlan random_plan(std::mt19937& rng, size_t n) {
   return plan;
 }
 
-// The exact oracle's window for the plan's execution order -- what the
-// emitted self-check must measure at run time.
-Int oracle_mws(const LoopNest& nest, const VerifyPlan& plan) {
+// The exact windows of the plan's execution order from the hash-map
+// reference engine -- what the emitted self-check must measure at run
+// time.  The buffer planner traces on the dense engine, so checking it
+// against the reference keeps the cross-check independent.
+TraceStats reference_trace(const LoopNest& nest, const VerifyPlan& plan) {
   IntMat t = plan.combined(nest.depth());
   if (plan.has_tiling()) {
-    return analyze_tiling(nest, t, plan.tile_sizes).mws_tiled;
+    return reference::simulate_order(nest,
+                                     tiled_order(nest, t, plan.tile_sizes));
   }
-  return simulate_transformed(nest, t).mws_total;
+  return reference::simulate_transformed(nest, t);
+}
+
+// The emission's total and per-array windows equal the reference's.
+void expect_windows(const CodegenResult& cg, const TraceStats& ref,
+                    const std::string& what) {
+  EXPECT_EQ(cg.mws_total, ref.mws_total) << what;
+  for (const BufferPlan& b : cg.buffers) {
+    auto it = ref.mws.find(b.array);
+    EXPECT_EQ(b.mws, it == ref.mws.end() ? 0 : it->second)
+        << what << ", array " << b.name;
+  }
 }
 
 std::string read_file(const std::string& path) {
@@ -270,8 +287,9 @@ TEST(PropertyCodegen, RandomNestsRunBitIdentical) {
     CodegenResult cg = emit_c(nest, plan, opts);
 
     // Host-side differential check: the window the generated program will
-    // measure equals the exact oracle's window for this execution order.
-    EXPECT_EQ(cg.mws_total, oracle_mws(nest, plan)) << "case " << i;
+    // measure equals the reference engine's for this execution order.
+    expect_windows(cg, reference_trace(nest, plan),
+                   "case " + std::to_string(i));
     EXPECT_GE(cg.window_cells, cg.mws_total) << "case " << i;
     for (const BufferPlan& b : cg.buffers) {
       EXPECT_TRUE(b.collision_free) << "case " << i;
@@ -305,7 +323,7 @@ TEST(PropertyCodegen, Figure2SuiteUnderOptimizerPlans) {
     opts.standalone = false;
     opts.stem = "f" + std::to_string(idx++);
     CodegenResult cg = emit_c(entry.nest, plan, opts);
-    EXPECT_EQ(cg.mws_total, oracle_mws(entry.nest, plan)) << entry.name;
+    expect_windows(cg, reference_trace(entry.nest, plan), entry.name);
     kernels.push_back({opts.stem, cg.c_source, "figure2 " + entry.name});
   }
   ASSERT_GE(kernels.size(), 5u);
@@ -353,7 +371,7 @@ TEST(PropertyCodegen, LoopCorpusIdentityOrder) {
       ADD_FAILURE() << p.filename() << ": " << err.what();
       continue;
     }
-    EXPECT_EQ(cg.mws_total, simulate(nest).mws_total) << p.filename();
+    expect_windows(cg, reference::simulate(nest), p.filename().string());
     kernels.push_back({opts.stem, cg.c_source, p.filename().string()});
   }
   ASSERT_GE(kernels.size(), 10u);

@@ -157,6 +157,108 @@ TEST_P(OracleEngineProperty, MatchesReference3Deep) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, OracleEngineProperty, ::testing::Range(0, 100));
 
+// Random wide nest for the shared window sweep: 3-4 arrays and 6-9 refs
+// per iteration over random 2-deep affine subscripts, so the sweep's
+// interleaved delta columns and its one prefix pass see several stores
+// with overlapping lifetimes.
+LoopNest random_wide_nest(std::mt19937& rng) {
+  std::uniform_int_distribution<Int> bnd(3, 12), coef(-1, 2), off(0, 3);
+  std::uniform_int_distribution<int> arrays(3, 4), refs(6, 9), pct(0, 99);
+  Int n1 = bnd(rng), n2 = bnd(rng);
+  NestBuilder b;
+  b.loop("i", 1, n1).loop("j", 1, n2);
+  std::vector<ArrayId> ids;
+  const int na = arrays(rng);
+  for (int a = 0; a < na; ++a) {
+    ids.push_back(b.array("A" + std::to_string(a), {200, 200}));
+  }
+  const int nr = refs(rng);
+  for (int r = 0; r < nr; r += 3) {
+    auto stmt = b.statement();
+    for (int k = r; k < std::min(nr, r + 3); ++k) {
+      // Every array gets at least one reference.
+      ArrayId id = k < na ? ids[static_cast<size_t>(k)]
+                          : ids[static_cast<size_t>(pct(rng)) % ids.size()];
+      IntMat m{{coef(rng), coef(rng)}, {coef(rng), coef(rng)}};
+      IntVec o{off(rng) + 30, off(rng) + 30};
+      if (k == r && pct(rng) < 60) {
+        stmt.write(id, m, o);
+      } else {
+        stmt.read(id, m, o);
+      }
+    }
+  }
+  return b.build();
+}
+
+// The window sweep the oracle and codegen share: per-array mws, distinct
+// and reuse plus mws_total equal the reference engine's, serial and
+// slab-parallel, original and transformed order, through one arena whose
+// delta buffer is reused across nests of different store counts.
+TEST(OracleWindowSweep, WideNestsMatchReferencePerArray) {
+  TraceArena arena;
+  for (int seed = 0; seed < 60; ++seed) {
+    auto rng = rng_for(7000 + seed);
+    LoopNest nest = random_wide_nest(rng);
+    const std::string what = "wide seed " + std::to_string(seed);
+    ASSERT_GE(nest.arrays().size(), 3u) << what;
+    size_t refs = 0;
+    for (const auto& stmt : nest.statements()) refs += stmt.refs.size();
+    ASSERT_GE(refs, 6u) << what;
+    expect_trace_eq(simulate(nest, 1, arena), reference::simulate(nest), what);
+    expect_trace_eq(simulate(nest, 3, arena), reference::simulate(nest, 3),
+                    what + " threads=3");
+    for (const IntMat& t : transforms_for(2)) {
+      expect_trace_eq(simulate_transformed(nest, t, arena),
+                      reference::simulate_transformed(nest, t),
+                      what + " t=" + t.str());
+    }
+  }
+}
+
+// Arrays never live across iterations (each element touched in exactly
+// one iteration) still report distinct/reuse and an mws entry of 0, next
+// to an array that is live.
+TEST(OracleWindowSweep, NeverLiveArraysReportZeroWindows) {
+  NestBuilder b;
+  b.loop("i", 1, 9).loop("j", 1, 7);
+  ArrayId a = b.array("A", {12, 12});
+  ArrayId c = b.array("C", {12, 12});
+  ArrayId d = b.array("D", {12, 12});
+  b.statement()
+      .write(a, {{1, 0}, {0, 1}}, {0, 0})
+      .read(a, {{1, 0}, {0, 1}}, {0, 0})
+      .read(c, {{0, 1}, {1, 0}}, {1, 1})
+      .read(d, {{1, 0}, {0, 1}}, {2, 0});
+  b.statement()
+      .write(d, {{1, 0}, {0, 1}}, {2, 0})
+      .read(c, {{0, 1}, {1, 0}}, {1, 1});
+  LoopNest never = b.build();
+  TraceStats got = simulate(never);
+  expect_trace_eq(got, reference::simulate(never), "never live");
+  EXPECT_EQ(got.mws_total, 0);
+  ASSERT_EQ(got.mws.size(), 3u);
+  for (const auto& [array, mws] : got.mws) EXPECT_EQ(mws, 0) << array;
+
+  NestBuilder m;
+  m.loop("i", 1, 9).loop("j", 1, 7);
+  ArrayId ma = m.array("A", {12, 12});
+  ArrayId ms = m.array("S", {12});
+  m.statement()
+      .write(ma, {{1, 0}, {0, 1}}, {0, 0})
+      .read(ms, IntMat{{1, 0}}, IntVec{1});
+  LoopNest mixed = m.build();
+  TraceStats mixed_got = simulate(mixed);
+  expect_trace_eq(mixed_got, reference::simulate(mixed), "mixed");
+  EXPECT_EQ(mixed_got.mws.at(ma), 0);
+  EXPECT_EQ(mixed_got.mws.at(ms), 1);
+  for (const IntMat& t : transforms_for(2)) {
+    expect_trace_eq(simulate_transformed(mixed, t),
+                    reference::simulate_transformed(mixed, t),
+                    "mixed t=" + t.str());
+  }
+}
+
 // A huge stride blows the element box far past the access count, forcing
 // the sparse linear-probe path; results must not change.
 TEST(OracleEngineStorage, SparseTableMatchesReference) {

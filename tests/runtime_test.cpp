@@ -13,9 +13,14 @@
 #include <string>
 #include <vector>
 
+#include "exact/reference.h"
+#include "exact/trace_engine.h"
+#include "ir/parser.h"
 #include "runtime/cache.h"
 #include "runtime/metrics.h"
 #include "runtime/session.h"
+#include "server/wire.h"
+#include "transform/minimizer.h"
 
 namespace lmre {
 namespace {
@@ -383,6 +388,59 @@ TEST(SessionBatch, ResultsIdenticalAtEveryThreadCount) {
       EXPECT_EQ(got[i].key, expected[i].key);
     }
   }
+}
+
+// optimize and full reuse the exact windows optimize_locality's re-scoring
+// measured (the identity and the winner) instead of tracing them again:
+// the payload's mws_before / mws_after equal a fresh reference-oracle run,
+// and a request costs exactly optimize_locality's oracle runs (plus full's
+// one analysis trace) -- two fewer than re-tracing both plans.
+TEST(SessionOptimize, ReusesOptimizeMeasurements) {
+  std::string dir = loops_dir();
+  if (dir.empty()) GTEST_SKIP() << "loop files not found from test cwd";
+  const SessionOptions opts;
+  int checked = 0;
+  for (const AnalysisRequest& file_req : corpus_requests(dir)) {
+    Program program = parse_program(file_req.source);
+    if (program.phase_count() != 1) continue;
+    const LoopNest& nest = program.phase_nest(0);
+    if (nest.iteration_count() > opts.run.verify_limit) continue;
+    TraceArena arena;
+    (void)optimize_locality(nest, minimizer_options(opts.run), arena);
+    const Int optimize_runs = arena.stats().runs;
+    for (AnalysisRequest::Kind kind :
+         {AnalysisRequest::Kind::kOptimize, AnalysisRequest::Kind::kFull}) {
+      SCOPED_TRACE(file_req.file + " " + to_string(kind));
+      AnalysisSession s(opts);
+      AnalysisResult r = s.run({file_req.source, file_req.file, kind});
+      ASSERT_EQ(r.status, ExitCode::kSuccess) << r.payload;
+      std::string error;
+      std::optional<WireValue> doc = parse_wire_json(r.payload, &error);
+      ASSERT_TRUE(doc) << error;
+      const WireValue* o = doc->find("optimize");
+      ASSERT_NE(o, nullptr);
+      const WireValue* before = o->find("mws_before");
+      const WireValue* after = o->find("mws_after");
+      const WireValue* rows = o->find("transform");
+      ASSERT_TRUE(before && after && rows);
+      IntMat t(nest.depth(), nest.depth());
+      ASSERT_EQ(rows->elements.size(), nest.depth());
+      for (size_t i = 0; i < nest.depth(); ++i) {
+        for (size_t j = 0; j < nest.depth(); ++j) {
+          t(i, j) = static_cast<Int>(rows->elements[i].elements[j].number);
+        }
+      }
+      EXPECT_EQ(static_cast<Int>(before->number),
+                reference::simulate(nest).mws_total);
+      EXPECT_EQ(static_cast<Int>(after->number),
+                reference::simulate_transformed(nest, t).mws_total);
+      const Int analysis_runs = kind == AnalysisRequest::Kind::kFull ? 1 : 0;
+      EXPECT_EQ(s.metrics().counter("oracle.runs"),
+                optimize_runs + analysis_runs);
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 10);
 }
 
 }  // namespace

@@ -153,13 +153,17 @@ ExitCode cmd_optimize(const std::string& source, std::ostream& out, int threads,
         << " cannot be certified; downgraded to identity\n";
     res.transform = IntMat::identity(nest.depth());
     res.method = "identity (uncertified plan downgraded)";
+    res.mws_exact = res.mws_identity;
   }
   out << "method: " << res.method << "\nT = " << res.transform.str()
       << "\ncertified: " << (verdict.certified ? "yes" : "no") << " ("
       << verdict.memory_deps << " memory dependences)\n\n";
   TransformedNest tn(nest, res.transform);
-  out << tn.print() << "\nexact window: " << simulate(nest).mws_total << " -> "
-      << tn.simulate().mws_total << '\n';
+  // Exact windows optimize's re-scoring measured are reused, not re-traced.
+  out << tn.print() << "\nexact window: "
+      << (res.mws_identity ? *res.mws_identity : simulate(nest).mws_total)
+      << " -> " << (res.mws_exact ? *res.mws_exact : tn.simulate().mws_total)
+      << '\n';
   if (ospec->miss_ratio) {
     // Re-measure on the final transform so a downgrade reports the shipped
     // plan's ratio, not the refused one's.
@@ -460,6 +464,7 @@ ExitCode cmd_optimize_json(const std::string& source, std::ostream& out, int thr
     doc.set("uncertified_transform", std::move(bad));
     res.transform = IntMat::identity(nest.depth());
     res.method = "identity (uncertified plan downgraded)";
+    res.mws_exact = res.mws_identity;
   }
   doc.set("method", res.method);
   Json rows = Json::array();
@@ -471,8 +476,11 @@ ExitCode cmd_optimize_json(const std::string& source, std::ostream& out, int thr
     rows.push(std::move(row));
   }
   doc.set("transform", std::move(rows));
-  doc.set("mws_before", simulate(nest).mws_total);
-  const Int mws_after = simulate_transformed(nest, res.transform).mws_total;
+  doc.set("mws_before",
+          res.mws_identity ? *res.mws_identity : simulate(nest).mws_total);
+  const Int mws_after =
+      res.mws_exact ? *res.mws_exact
+                    : simulate_transformed(nest, res.transform).mws_total;
   doc.set("mws_after", mws_after);
   // The chosen objective, named and valued, in every optimize document --
   // miss-ratio runs stay distinguishable from MWS runs.
@@ -1425,6 +1433,19 @@ std::optional<IntMat> parse_plan_matrix(const std::string& text) {
   return m;
 }
 
+// Parses one cache capacity (a non-negative integer that fits Int);
+// nullopt on junk, a sign, or out-of-range text.
+std::optional<Int> parse_capacity(const std::string& tok) {
+  try {
+    size_t pos = 0;
+    long long v = std::stoll(tok, &pos);
+    if (pos != tok.size() || v < 0) return std::nullopt;
+    return static_cast<Int>(v);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
 // Parses "--capacities=1,64,540" (comma-separated non-negative integers);
 // nullopt on malformed input or an empty list.
 std::optional<std::vector<Int>> parse_capacity_list(const std::string& text) {
@@ -1432,14 +1453,9 @@ std::optional<std::vector<Int>> parse_capacity_list(const std::string& text) {
   std::istringstream ss(text);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    try {
-      size_t pos = 0;
-      long long v = std::stoll(tok, &pos);
-      if (pos != tok.size() || v < 0) return std::nullopt;
-      caps.push_back(static_cast<Int>(v));
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
+    std::optional<Int> cap = parse_capacity(tok);
+    if (!cap) return std::nullopt;
+    caps.push_back(*cap);
   }
   if (caps.empty()) return std::nullopt;
   return caps;
@@ -1469,6 +1485,11 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
   RequestCliOptions request_opts;
   std::vector<std::string> rest(args.begin() + 1, args.end());
   for (auto it = rest.begin(); it != rest.end();) {
+    if (*it == "--help" || *it == "-h") {
+      // Before any command runs: `serve --help` must not bind or block.
+      out << usage();
+      return ExitCode::kSuccess;
+    }
     if (*it == "--json") {
       json = true;
       it = rest.erase(it);
@@ -1824,7 +1845,13 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
       if (cmd == "series") return cmd_series(*source, out);
       std::vector<Int> caps;
       for (size_t i = 1; i < rest.size(); ++i) {
-        caps.push_back(static_cast<Int>(std::stoll(rest[i])));
+        std::optional<Int> cap = parse_capacity(rest[i]);
+        if (!cap) {
+          err << "bad misscurve capacity: " << rest[i]
+              << " (want a non-negative integer)\n";
+          return ExitCode::kUsage;
+        }
+        caps.push_back(*cap);
       }
       return cmd_misscurve(*source, caps, out);
     } catch (const ParseError& e) {
