@@ -6,9 +6,10 @@
 # drain), a serve-load smoke (CLI TCP round trip byte-identical to the
 # Unix transport + the bench_server --check load-harness gate), then two
 # sanitizer passes --
-# ThreadSanitizer over the parallel-search + shared-cache/server suites
-# and ASan+UBSan over the parser / lint / CLI suites (the layers that
-# chew on untrusted input) -- plus a symbolic-smoke stage (closed forms
+# ThreadSanitizer over the parallel-search, pruned re-scoring and
+# shared-cache/server suites and ASan+UBSan over the parser / lint / CLI
+# suites (the layers that chew on untrusted input) plus the pruned
+# re-scoring suite -- plus a symbolic-smoke stage (closed forms
 # differential vs the oracle under ASan, golden + decline corpora), the
 # oracle perf gate, a codegen smoke (ASan emission, system-cc compile
 # + execute round trip, bench_codegen --check latency gate), and an
@@ -168,19 +169,21 @@ echo "== tier 1: ThreadSanitizer pass over the parallel suites =="
 cmake -B build-tsan -S . -DLMRE_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
   --target parallel_search_test property_parallel_test cache_stress_test \
-  server_test
+  server_test property_prune_test
 ./build-tsan/tests/parallel_search_test
 ./build-tsan/tests/property_parallel_test
+./build-tsan/tests/property_prune_test
 ./build-tsan/tests/cache_stress_test
 ./build-tsan/tests/server_test
 
 echo "== tier 1: ASan+UBSan pass over the input-handling suites =="
 cmake -B build-asan -S . -DLMRE_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$JOBS" \
-  --target parser_test lint_test cli_tool_test
+  --target parser_test lint_test cli_tool_test property_prune_test
 ./build-asan/tests/parser_test
 ./build-asan/tests/lint_test
 ./build-asan/tests/cli_tool_test
+./build-asan/tests/property_prune_test
 
 echo "== tier 1: symbolic-smoke (ASan differential subset + golden check) =="
 # The symbolic closed forms must stay oracle-exact under ASan+UBSan: run

@@ -159,7 +159,60 @@ Int run_transformed(const LoopNest& nest, const AddressPlan& plan,
   return iters;
 }
 
+// window_below's checkpoint cadence: a checkpoint is re-armed every
+// ceil(iterations / kCheckpoints) iterations.
+constexpr Int kCheckpoints = 8;
+
+// Thrown out of the row scan once the lower bound reaches the bound.
+struct BoundReached {
+  Int iterations;  // iterations fully traced before the stop
+};
+
 }  // namespace
+
+std::optional<Int> window_below(const LoopNest& nest, const IntMat& t,
+                                Int bound, TraceArena& arena) {
+  require(t.rows() == nest.depth() && t.cols() == nest.depth(),
+          "simulate_transformed: transform shape mismatch");
+  require(t.is_unimodular(), "simulate_transformed: transform not unimodular");
+  IntMat t_inv = t.inverse_unimodular();
+  auto plan = AddressPlan::build(nest, &t_inv, /*liveness_order=*/false, 1);
+  if (!plan) {
+    ++arena.stats().fallback_runs;
+    const Int mws = reference::simulate_transformed(nest, t).mws_total;
+    return mws < bound ? std::optional<Int>(mws) : std::nullopt;
+  }
+  arena.prepare(*plan, 1, /*with_state=*/false);
+  auto bufs = ref_bufs(*plan, arena, 0);
+  const Int cadence = std::max<Int>(ceil_div(plan->iterations, kCheckpoints), 1);
+  Int checkpoint = -1;  // nothing is live across "before the first iteration"
+  Int next_arm = 0;
+  Int live = 0;
+  // The hook runs at every iteration boundary: stop once the current
+  // checkpoint's count proves the bound, re-arm on the cadence.
+  auto before = [&](Int ordinal) {
+    if (live >= bound) throw BoundReached{ordinal};
+    if (ordinal == next_arm) {
+      checkpoint = ordinal - 1;
+      live = 0;
+      next_arm += cadence;
+    }
+  };
+  auto touch = [&](size_t r, Int ordinal, Int addr) {
+    trace_detail::touch_counting(*bufs[r], addr, ordinal, checkpoint, live);
+  };
+  auto rows = [&](auto&& emit) { scan_transformed_rows(nest, t_inv, emit); };
+  Int iters = 0;
+  try {
+    iters = drive_rows(*plan, rows, touch, /*ordinal0=*/0, before);
+  } catch (const BoundReached& stop) {
+    arena.finish_run(*plan, 1, stop.iterations);
+    return std::nullopt;
+  }
+  arena.finish_run(*plan, 1);
+  const Int mws = arena.sweep_windows(*plan, iters).total;
+  return mws < bound ? std::optional<Int>(mws) : std::nullopt;
+}
 
 TraceStats simulate(const LoopNest& nest) {
   TraceArena arena;

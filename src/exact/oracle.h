@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "ir/general.h"
@@ -87,6 +88,19 @@ TraceStats simulate_transformed(const LoopNest& nest, const IntMat& t);
 /// simulate_transformed reusing the caller's TraceArena (see above).
 TraceStats simulate_transformed(const LoopNest& nest, const IntMat& t,
                                 TraceArena& arena);
+
+/// Bounded simulate_transformed for candidate re-scoring: returns the
+/// exact mws_total of the nest under `t` when it is below `bound`, and
+/// nullopt once the trace has proven the window is at least `bound` --
+/// usually long before the trace ends.  The proof is a checkpoint lower
+/// bound: every ceil(iterations / 8) iterations the run re-arms a
+/// checkpoint C at an iteration boundary and counts the elements touched
+/// again after C whose previous touch was at or before C.  Each of them is
+/// live across C, so the count never exceeds the window at C, and hence
+/// the MWS.  Dense and sparse stores alike; a stopped run counts in
+/// OracleStats::pruned_runs, and only its traced accesses in `accesses`.
+std::optional<Int> window_below(const LoopNest& nest, const IntMat& t,
+                                Int bound, TraceArena& arena);
 
 /// Executes a general (non-rectangular) nest in lexicographic order of its
 /// constraint space.

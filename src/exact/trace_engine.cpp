@@ -49,6 +49,7 @@ size_t next_pow2(size_t n) {
 
 void OracleStats::absorb(const OracleStats& o) {
   runs += o.runs;
+  pruned_runs += o.pruned_runs;
   fallback_runs += o.fallback_runs;
   dense_stores += o.dense_stores;
   sparse_stores += o.sparse_stores;
@@ -300,9 +301,16 @@ void TraceArena::account_bytes() {
   stats_.arena_high_water_bytes = std::max(stats_.arena_high_water_bytes, bytes);
 }
 
-void TraceArena::finish_run(const AddressPlan& plan, size_t slabs) {
+void TraceArena::finish_run(const AddressPlan& plan, size_t slabs,
+                            std::optional<Int> stopped_after) {
   ++stats_.runs;
   account_bytes();
+  if (stopped_after) {
+    ++stats_.pruned_runs;
+    stats_.accesses = checked_add(
+        stats_.accesses,
+        checked_mul(*stopped_after, static_cast<Int>(plan.refs.size())));
+  }
   for (size_t si = 0; si < plan.stores.size(); ++si) {
     if (plan.stores[si].dense) {
       ++stats_.dense_stores;
@@ -310,7 +318,7 @@ void TraceArena::finish_run(const AddressPlan& plan, size_t slabs) {
       ++stats_.sparse_stores;
     }
     stats_.elements += slabs_[0][si].touched;
-    stats_.accesses += plan.stores[si].accesses;
+    if (!stopped_after) stats_.accesses += plan.stores[si].accesses;
     for (size_t slab = 0; slab < slabs; ++slab) {
       const StoreBuf& s = slabs_[slab][si];
       stats_.sparse_probes += s.probes;

@@ -39,11 +39,13 @@ namespace lmre {
 /// through the runtime Metrics registry (`oracle.*` names) by the session.
 struct OracleStats {
   Int runs = 0;            ///< dense-engine runs (simulate/liveness/... calls)
+  Int pruned_runs = 0;     ///< bounded runs (window_below) stopped early
   Int fallback_runs = 0;   ///< linearization failed; reference engine used
   Int dense_stores = 0;    ///< per-array stores that took the dense path
   Int sparse_stores = 0;   ///< per-array stores that took the probe table
   Int elements = 0;        ///< distinct elements touched across runs
-  Int accesses = 0;        ///< accesses traced across runs
+  Int accesses = 0;        ///< accesses traced across runs (pruned runs
+                           ///< count only what they traced)
   Int sparse_probes = 0;   ///< linear-probe steps over all table operations
   Int sparse_ops = 0;      ///< table operations (probe-length denominator)
   double table_occupancy_peak = 0.0;  ///< max touched/capacity over tables
@@ -139,8 +141,12 @@ class TraceArena {
   void merge_slabs(const AddressPlan& plan, size_t slabs);
 
   /// Folds the finished run's instrumentation (elements, probe counts,
-  /// store kinds, occupancy, footprint high-water) into stats().
-  void finish_run(const AddressPlan& plan, size_t slabs);
+  /// store kinds, occupancy, footprint high-water) into stats().  A bounded
+  /// run that stopped early passes the number of iterations it traced as
+  /// `stopped_after`: it counts as a pruned run, and only those
+  /// iterations' accesses count as traced.
+  void finish_run(const AddressPlan& plan, size_t slabs,
+                  std::optional<Int> stopped_after = std::nullopt);
 
   /// Exact windows of a finished first/last run (slab 0).
   struct WindowPeaks {
@@ -236,6 +242,36 @@ inline void touch_first_last(TraceArena::StoreBuf& s, Int addr, Int ordinal) {
   s.klast[slot] = ordinal;
 }
 
+/// touch_first_last for a bounded run, whose `ordinal` always lies after
+/// the checkpoint iteration `checkpoint`: additionally counts, into
+/// `live`, the elements whose previous touch is at or before the
+/// checkpoint.  Each counted element is live across the checkpoint, and
+/// its new last touch lies beyond it, so no element counts twice per
+/// checkpoint.
+inline void touch_counting(TraceArena::StoreBuf& s, Int addr, Int ordinal,
+                           Int checkpoint, Int& live) {
+  if (s.dense) {
+    const size_t a = static_cast<size_t>(addr);
+    const Int prev = s.last[a];
+    if (prev < 0) {
+      s.first[a] = ordinal;
+      ++s.touched;
+    } else {
+      live += prev <= checkpoint;
+    }
+    s.last[a] = ordinal;
+    return;
+  }
+  bool inserted = false;
+  const size_t slot = upsert_slot(s, addr, &inserted);
+  if (inserted) {
+    s.kfirst[slot] = ordinal;
+  } else {
+    live += s.klast[slot] <= checkpoint;
+  }
+  s.klast[slot] = ordinal;
+}
+
 /// Tag bits of a codegen run (the store tag): the element's first access
 /// was a read (an upward-exposed value), and some access wrote it.
 constexpr unsigned char kTagFirstRead = 1;
@@ -324,10 +360,12 @@ inline Int plan_address(const AddressPlan::Ref& r, const IntVec& point) {
 /// and then advanced by its innermost coefficient per iteration
 /// (incremental affine stepping).  `touch(ref_index, ordinal, addr)` runs
 /// per access; ordinals count iterations from `ordinal0` (a slab's global
-/// base).  Returns the number of iterations visited.
-template <class RowsFn, class TouchFn>
+/// base).  `before(ordinal)` runs at the start of every iteration (the
+/// bounded run's checkpoint hook; a no-op otherwise).  Returns the number
+/// of iterations visited.
+template <class RowsFn, class TouchFn, class IterFn>
 Int drive_rows(const AddressPlan& plan, RowsFn&& rows, TouchFn&& touch,
-               Int ordinal0 = 0) {
+               Int ordinal0, IterFn&& before) {
   const size_t n = plan.depth;
   if (n == 0) return 0;
   const size_t nrefs = plan.refs.size();
@@ -340,6 +378,7 @@ Int drive_rows(const AddressPlan& plan, RowsFn&& rows, TouchFn&& touch,
       addr[r] = trace_detail::plan_address(plan.refs[r], u);
     }
     for (Int j = lo; j <= hi; ++j) {
+      before(ordinal);
       for (size_t r = 0; r < nrefs; ++r) {
         touch(r, ordinal, addr[r]);
         addr[r] += step[r];  // one overshoot per row; bounded by the plan
@@ -348,6 +387,13 @@ Int drive_rows(const AddressPlan& plan, RowsFn&& rows, TouchFn&& touch,
     }
   });
   return ordinal - ordinal0;
+}
+
+template <class RowsFn, class TouchFn>
+Int drive_rows(const AddressPlan& plan, RowsFn&& rows, TouchFn&& touch,
+               Int ordinal0 = 0) {
+  return drive_rows(plan, std::forward<RowsFn>(rows),
+                    std::forward<TouchFn>(touch), ordinal0, [](Int) {});
 }
 
 /// Drives the original-order scan of a rectangular (sub-)box: its rows in
@@ -378,35 +424,41 @@ void drive_box(const AddressPlan& plan, const IntBox& box, Int ordinal0,
   drive_rows(plan, rows, std::forward<TouchFn>(touch), ordinal0);
 }
 
-/// Drives the transformed-order scan: u ranges over T * box in
+/// The transformed-order row generator: u ranges over T * box in
 /// lexicographic order, rows come from the polyhedral scanner, and each
-/// row's addresses step incrementally in u-space (the plan's coefficients
-/// are already composed through T^-1).  Row endpoints are mapped back
-/// through `t_inv` and checked against the box -- the box is convex, so
-/// endpoint containment covers the whole row.  Returns the number of
-/// iterations visited.
-template <class TouchFn>
-Int drive_transformed(const AddressPlan& plan, const LoopNest& nest,
-                      const IntMat& t_inv, TouchFn&& touch) {
+/// row is emit(u, lo, hi) as drive_rows expects.  Row endpoints are mapped
+/// back through `t_inv` and checked against the box -- the box is convex,
+/// so endpoint containment covers the whole row.
+template <class EmitFn>
+void scan_transformed_rows(const LoopNest& nest, const IntMat& t_inv,
+                           EmitFn&& emit) {
   const IntBox& box = nest.bounds();
   const size_t n = nest.depth();
-  if (n == 0) return 0;
+  if (n == 0) return;
   ConstraintSystem sys(n);
   for (size_t k = 0; k < n; ++k) {
     AffineExpr expr(t_inv.row(k), 0);
     sys.add_range(expr, box.range(k).lo, box.range(k).hi);
   }
-  auto rows = [&](auto&& emit) {
-    scan_rows(sys, [&](const IntVec& u, Int lo, Int hi) {
-      IntVec endpoint = u;  // u[n-1] == lo
-      ensure(box.contains(t_inv * endpoint),
-             "transformed scan left the iteration space");
-      endpoint[n - 1] = hi;
-      ensure(box.contains(t_inv * endpoint),
-             "transformed scan left the iteration space");
-      emit(u, lo, hi);
-    });
-  };
+  scan_rows(sys, [&](const IntVec& u, Int lo, Int hi) {
+    IntVec endpoint = u;  // u[n-1] == lo
+    ensure(box.contains(t_inv * endpoint),
+           "transformed scan left the iteration space");
+    endpoint[n - 1] = hi;
+    ensure(box.contains(t_inv * endpoint),
+           "transformed scan left the iteration space");
+    emit(u, lo, hi);
+  });
+}
+
+/// Drives the transformed-order scan (scan_transformed_rows); each row's
+/// addresses step incrementally in u-space (the plan's coefficients are
+/// already composed through T^-1).  Returns the number of iterations
+/// visited.
+template <class TouchFn>
+Int drive_transformed(const AddressPlan& plan, const LoopNest& nest,
+                      const IntMat& t_inv, TouchFn&& touch) {
+  auto rows = [&](auto&& emit) { scan_transformed_rows(nest, t_inv, emit); };
   return drive_rows(plan, rows, std::forward<TouchFn>(touch));
 }
 

@@ -264,37 +264,17 @@ std::optional<MissRatioPlan> optimize_miss_ratio(const LoopNest& nest,
     return std::nullopt;
   }
   std::vector<CandidatePlan> candidates = candidate_plans(nest, opts);
-  const size_t k = std::min<size_t>(
-      candidates.size(),
-      static_cast<size_t>(std::max<Int>(opts.verify_top_k, 1)));
-  // Top k plus the identity (the baseline must always be scored), deduped
-  // keeping first occurrence, each gated by its own transformed scan
-  // volume -- the same selection the MWS verify loop makes.
-  std::vector<const CandidatePlan*> to_score;
-  for (size_t i = 0; i < k; ++i) to_score.push_back(&candidates[i]);
-  for (const auto& c : candidates) {
-    if (c.method == "identity") {
-      to_score.push_back(&c);
-      break;
-    }
-  }
-  std::vector<const CandidatePlan*> unique;
-  std::vector<IntMat> seen;
-  for (const CandidatePlan* c : to_score) {
-    if (std::find(seen.begin(), seen.end(), c->t) != seen.end()) continue;
-    seen.push_back(c->t);
-    if (transformed_scan_volume(nest, c->t) > opts.verify_iteration_limit) {
-      continue;
-    }
-    unique.push_back(c);
-  }
+  // The same plans the MWS verify loop re-scores, at least one of them.
+  const std::vector<const CandidatePlan*> plans = rescoring_set(
+      nest, candidates, static_cast<size_t>(std::max<Int>(opts.verify_top_k, 1)),
+      opts.verify_iteration_limit);
 
   const IntMat identity = IntMat::identity(nest.depth());
   MrcOptions mo;  // exact mode: the objective is a measurement, not a guess
   const CandidatePlan* best = nullptr;
   double best_ratio = 0.0;
   double before = 0.0;
-  for (const CandidatePlan* c : unique) {
+  for (const CandidatePlan* c : plans) {
     const bool ident = c->t == identity;
     mo.transform = ident ? nullptr : &c->t;
     MrcResult m = compute_mrc(nest, mo, arena);
@@ -314,7 +294,7 @@ std::optional<MissRatioPlan> optimize_miss_ratio(const LoopNest& nest,
   plan.capacity = capacity;
   plan.miss_ratio_before = before;
   plan.miss_ratio_after = best_ratio;
-  plan.candidates = static_cast<Int>(unique.size());
+  plan.candidates = static_cast<Int>(plans.size());
   return plan;
 }
 

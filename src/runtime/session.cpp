@@ -164,6 +164,7 @@ class OracleStatsExporter {
   ~OracleStatsExporter() {
     const OracleStats& s = arena_.stats();
     metrics_.count("oracle.runs", s.runs);
+    metrics_.count("oracle.pruned_runs", s.pruned_runs);
     metrics_.count("oracle.fallback_runs", s.fallback_runs);
     metrics_.count("oracle.dense_stores", s.dense_stores);
     metrics_.count("oracle.sparse_stores", s.sparse_stores);
@@ -577,6 +578,9 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
       return result.dump();
     }
 
+    // full's exact analysis window of the original order, handed to
+    // optimize_locality so its re-scoring does not trace the identity again.
+    std::optional<Int> mws_identity;
     if (req.kind() == Kind::kAnalyze || req.kind() == Kind::kFull) {
       if (single) {
         const LoopNest& nest = program.phase_nest(0);
@@ -589,6 +593,7 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
         if (nest.iteration_count() <= stage.verify_limit) {
           Metrics::ScopedTimer t = metrics_->time("stage.mws");
           exact = simulate(nest, stage.threads, arena);
+          mws_identity = exact->mws_total;
         }
         result.set("analysis", analysis_json(nest, rep, exact));
       } else {
@@ -662,7 +667,8 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
           res.method = mr->method;
           res.predicted_mws = predicted_mws_after(nest, res.transform);
         } else {
-          res = optimize_locality(nest, minimizer_options(stage), arena);
+          res = optimize_locality(nest, minimizer_options(stage), arena,
+                                  mws_identity);
         }
       }
       // Independent legality audit of the winning plan: the minimizer only

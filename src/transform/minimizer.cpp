@@ -184,15 +184,14 @@ std::optional<MinimizerResult> branch_and_bound(const IntVec& alpha,
   return best;
 }
 
-}  // namespace
-
+// minimize_mws_2d over the caller's dependence analysis of `nest`.
 std::optional<MinimizerResult> minimize_mws_2d(const LoopNest& nest,
-                                               const MinimizerOptions& opts) {
+                                               const MinimizerOptions& opts,
+                                               const DependenceInfo& info) {
   if (nest.depth() != 2) return std::nullopt;
   std::vector<RowTarget> targets = row_targets(nest);
   if (targets.empty()) return std::nullopt;
 
-  DependenceInfo info = analyze_dependences(nest);
   std::vector<IntVec> deps = info.distance_vectors(opts.include_input_reuse);
   const IntBox& box = nest.bounds();
 
@@ -271,7 +270,9 @@ std::optional<MinimizerResult> minimize_mws_2d(const LoopNest& nest,
   return MinimizerResult{*t, best->score, examined};
 }
 
-std::optional<IntMat> embedding_transform(const LoopNest& nest, ArrayId array) {
+// embedding_transform over the caller's dependence analysis of `nest`.
+std::optional<IntMat> embedding_transform(const LoopNest& nest, ArrayId array,
+                                          const DependenceInfo& info) {
   std::vector<ArrayRef> refs = nest.refs_to(array);
   if (refs.empty()) return std::nullopt;
   for (size_t i = 1; i < refs.size(); ++i) {
@@ -282,7 +283,6 @@ std::optional<IntMat> embedding_transform(const LoopNest& nest, ArrayId array) {
   std::optional<IntMat> t = complete_rows_to_unimodular(acc);
   if (!t) return std::nullopt;
 
-  DependenceInfo info = analyze_dependences(nest);
   std::vector<IntVec> all = info.distance_vectors(/*include_input=*/true);
   std::vector<IntVec> memory = info.distance_vectors(/*include_input=*/false);
 
@@ -304,21 +304,6 @@ std::optional<IntMat> embedding_transform(const LoopNest& nest, ArrayId array) {
     }
   }
   return std::nullopt;
-}
-
-namespace {
-
-bool is_signed_permutation(const IntMat& t) {
-  for (size_t r = 0; r < t.rows(); ++r) {
-    int nonzero = 0;
-    for (size_t c = 0; c < t.cols(); ++c) {
-      if (t(r, c) == 0) continue;
-      if (checked_abs(t(r, c)) != 1) return false;
-      ++nonzero;
-    }
-    if (nonzero != 1) return false;
-  }
-  return true;
 }
 
 // Transformed-space extents: exact for signed permutations, bounding box
@@ -344,17 +329,11 @@ IntBox transformed_box(const IntBox& box, const IntMat& t) {
   return IntBox(std::move(ranges));
 }
 
-}  // namespace
-
-Int transformed_scan_volume(const LoopNest& nest, const IntMat& t) {
-  return transformed_box(nest.bounds(), t).volume();
-}
-
-Int predicted_mws_after(const LoopNest& nest, const IntMat& t) {
-  DependenceInfo info = analyze_dependences(nest);
+// predicted_mws_after over the caller's dependence analysis of `nest`.
+Int predicted_mws_after(const LoopNest& nest, const IntMat& t,
+                        const DependenceInfo& info) {
   const std::vector<ArrayRef> refs = nest.all_refs();
   IntBox tbox = transformed_box(nest.bounds(), t);
-  (void)is_signed_permutation(t);  // exactness note: tbox is exact for these
 
   Int total = 0;
   for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
@@ -389,6 +368,25 @@ Int predicted_mws_after(const LoopNest& nest, const IntMat& t) {
   return total;
 }
 
+}  // namespace
+
+std::optional<MinimizerResult> minimize_mws_2d(const LoopNest& nest,
+                                               const MinimizerOptions& opts) {
+  return minimize_mws_2d(nest, opts, analyze_dependences(nest));
+}
+
+std::optional<IntMat> embedding_transform(const LoopNest& nest, ArrayId array) {
+  return embedding_transform(nest, array, analyze_dependences(nest));
+}
+
+Int transformed_scan_volume(const LoopNest& nest, const IntMat& t) {
+  return transformed_box(nest.bounds(), t).volume();
+}
+
+Int predicted_mws_after(const LoopNest& nest, const IntMat& t) {
+  return predicted_mws_after(nest, t, analyze_dependences(nest));
+}
+
 OptimizeResult optimize_locality(const LoopNest& nest, const MinimizerOptions& opts) {
   TraceArena arena;
   return optimize_locality(nest, opts, arena);
@@ -397,13 +395,16 @@ OptimizeResult optimize_locality(const LoopNest& nest, const MinimizerOptions& o
 std::vector<CandidatePlan> candidate_plans(const LoopNest& nest,
                                            const MinimizerOptions& opts) {
   const size_t n = nest.depth();
-  DependenceInfo info = analyze_dependences(nest);
+  // One dependence analysis serves every candidate: it depends on the nest
+  // alone.
+  const DependenceInfo info = analyze_dependences(nest);
   std::vector<IntVec> memory = info.distance_vectors(/*include_input=*/false);
 
   std::vector<CandidatePlan> candidates;
   auto consider = [&](const IntMat& t, const std::string& method) {
     if (!is_legal(t, memory)) return;
-    candidates.push_back(CandidatePlan{t, method, predicted_mws_after(nest, t)});
+    candidates.push_back(
+        CandidatePlan{t, method, predicted_mws_after(nest, t, info)});
   };
 
   consider(IntMat::identity(n), "identity");
@@ -421,12 +422,12 @@ std::vector<CandidatePlan> candidate_plans(const LoopNest& nest,
     }
   } while (std::next_permutation(perm.begin(), perm.end()));
 
-  if (auto res = minimize_mws_2d(nest, opts)) {
+  if (auto res = minimize_mws_2d(nest, opts, info)) {
     consider(res->transform, "row-minimizer");
   }
   for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
     if (nest.refs_to(id).empty()) continue;
-    if (auto t = embedding_transform(nest, id)) {
+    if (auto t = embedding_transform(nest, id, info)) {
       consider(*t, "embedding(" + nest.array(id).name + ")");
     }
   }
@@ -439,6 +440,37 @@ std::vector<CandidatePlan> candidate_plans(const LoopNest& nest,
   return candidates;
 }
 
+std::vector<const CandidatePlan*> rescoring_set(
+    const LoopNest& nest, const std::vector<CandidatePlan>& candidates,
+    size_t k, Int scan_limit) {
+  // Always score the identity too: the optimizer must never pick something
+  // worse than leaving the nest alone.
+  std::vector<const CandidatePlan*> wanted;
+  for (size_t i = 0; i < std::min(k, candidates.size()); ++i) {
+    wanted.push_back(&candidates[i]);
+  }
+  for (const auto& c : candidates) {
+    if (c.method == "identity") {
+      wanted.push_back(&c);
+      break;
+    }
+  }
+  // Dedup (keeping first occurrence) and drop candidates whose transformed
+  // scan space blows past the budget: a skewing transform can inflate the
+  // scanner's sweep far beyond the invariant iteration count, so the limit
+  // must be checked per transformed candidate, not only once against the
+  // original nest.
+  std::vector<const CandidatePlan*> set;
+  std::vector<IntMat> seen;
+  for (const CandidatePlan* c : wanted) {
+    if (std::find(seen.begin(), seen.end(), c->t) != seen.end()) continue;
+    seen.push_back(c->t);
+    if (transformed_scan_volume(nest, c->t) > scan_limit) continue;
+    set.push_back(c);
+  }
+  return set;
+}
+
 namespace {
 
 OptimizeResult result_of(const CandidatePlan& c) {
@@ -449,81 +481,73 @@ OptimizeResult result_of(const CandidatePlan& c) {
   return r;
 }
 
+constexpr Int kUnbounded = std::numeric_limits<Int>::max();
+
 }  // namespace
 
 OptimizeResult optimize_locality(const LoopNest& nest,
                                  const MinimizerOptions& opts,
-                                 TraceArena& arena) {
+                                 TraceArena& arena,
+                                 std::optional<Int> mws_identity) {
   std::vector<CandidatePlan> candidates = candidate_plans(nest, opts);
 
   // The analytic score ranks depth-2 candidates well, but for deeper nests
   // (bounding-box extents, dominant-vector choice) it can misrank; rescore
   // the top few candidates with the exact oracle when the nest is small.
-  if (opts.verify_top_k > 0 &&
-      nest.iteration_count() <= opts.verify_iteration_limit) {
-    size_t k = std::min<size_t>(candidates.size(),
-                                static_cast<size_t>(opts.verify_top_k));
-    // Always verify the identity too: the driver must never pick something
-    // worse than leaving the nest alone.
-    std::vector<const CandidatePlan*> to_verify;
-    for (size_t i = 0; i < k; ++i) to_verify.push_back(&candidates[i]);
-    for (const auto& c : candidates) {
-      if (c.method == "identity") { to_verify.push_back(&c); break; }
-    }
-    // Dedup (keeping first occurrence) and drop candidates whose transformed
-    // scan space blows past the verification budget: a skewing transform can
-    // inflate the scanner's sweep far beyond the invariant iteration count,
-    // so the limit must be checked per transformed candidate, not only once
-    // against the original nest.  The identity always survives (its scan
-    // volume is exactly the iteration count), so the set is never empty.
-    std::vector<const CandidatePlan*> unique;
-    std::vector<IntMat> seen;
-    for (const CandidatePlan* c : to_verify) {
-      if (std::find(seen.begin(), seen.end(), c->t) != seen.end()) continue;
-      seen.push_back(c->t);
-      if (transformed_scan_volume(nest, c->t) > opts.verify_iteration_limit) {
-        continue;
-      }
-      unique.push_back(c);
-    }
-    // Re-scoring fans out across the pool in candidate order; every chunk
-    // reuses one TraceArena across its candidates (chunk 0 gets the
-    // caller's, so serial verify loops touch a single allocation
-    // footprint), and the selection below is the serial scan.
-    const int workers = resolve_threads(opts.threads);
-    std::vector<TraceArena> extra(workers > 1 ? static_cast<size_t>(workers - 1)
-                                              : 0);
-    std::vector<Int> exact(unique.size(), 0);
-    parallel_chunks(static_cast<Int>(unique.size()), opts.threads, /*grain=*/1,
-                    [&](size_t chunk, Int begin, Int end) {
-      TraceArena& chunk_arena = chunk == 0 ? arena : extra[chunk - 1];
-      for (Int i = begin; i < end; ++i) {
-        exact[static_cast<size_t>(i)] =
-            simulate_transformed(nest, unique[static_cast<size_t>(i)]->t,
-                                 chunk_arena)
-                .mws_total;
-      }
-    });
-    for (const TraceArena& e : extra) arena.stats().absorb(e.stats());
-    const CandidatePlan* best = nullptr;
-    Int best_exact = 0;
-    for (size_t i = 0; i < unique.size(); ++i) {
-      if (!best || exact[i] < best_exact) {
-        best = unique[i];
-        best_exact = exact[i];
-      }
-    }
-    ensure(best != nullptr, "exact verification examined no candidate");
-    OptimizeResult res = result_of(*best);
-    res.mws_exact = best_exact;
-    const IntMat identity = IntMat::identity(nest.depth());
-    for (size_t i = 0; i < unique.size(); ++i) {
-      if (unique[i]->t == identity) res.mws_identity = exact[i];
-    }
-    return res;
+  if (opts.verify_top_k <= 0 ||
+      nest.iteration_count() > opts.verify_iteration_limit) {
+    return result_of(candidates.front());
   }
+  // The identity always survives the scan-volume gate (its scan volume is
+  // exactly the iteration count), so the set is never empty.
+  const std::vector<const CandidatePlan*> plans =
+      rescoring_set(nest, candidates, static_cast<size_t>(opts.verify_top_k),
+                    opts.verify_iteration_limit);
+  const IntMat identity = IntMat::identity(nest.depth());
+  size_t ident = 0;
+  while (plans[ident]->t != identity) ++ident;
 
-  return result_of(candidates.front());
+  // Re-scoring fans out across the pool in candidate order; every chunk
+  // reuses one TraceArena across its candidates (chunk 0 gets the
+  // caller's, so serial verify loops touch a single allocation footprint),
+  // and the selection below is the serial scan: the first strictly
+  // smallest window wins.  A candidate's trace stops (window_below) once it
+  // provably cannot win: its window reaches the smallest window measured
+  // ahead of it in its chunk, or exceeds a window known behind it (the
+  // caller's identity window).  Those bounds do not depend on scheduling,
+  // and the identity and the winner always finish, so the result is
+  // bit-identical for every thread count -- only the oracle counters vary.
+  const int workers = resolve_threads(opts.threads);
+  std::vector<TraceArena> extra(workers > 1 ? static_cast<size_t>(workers - 1)
+                                            : 0);
+  std::vector<std::optional<Int>> exact(plans.size());
+  exact[ident] = mws_identity;
+  parallel_chunks(static_cast<Int>(plans.size()), opts.threads, /*grain=*/1,
+                  [&](size_t chunk, Int begin, Int end) {
+    TraceArena& chunk_arena = chunk == 0 ? arena : extra[chunk - 1];
+    Int ahead = kUnbounded;  // smallest window measured earlier in the chunk
+    for (size_t i = static_cast<size_t>(begin); i < static_cast<size_t>(end);
+         ++i) {
+      if (i == ident && mws_identity) continue;
+      Int bound = ahead;
+      if (i == ident) {
+        bound = kUnbounded;
+      } else if (mws_identity) {
+        bound = std::min(bound, i > ident ? *mws_identity : *mws_identity + 1);
+      }
+      exact[i] = window_below(nest, plans[i]->t, bound, chunk_arena);
+      if (exact[i]) ahead = std::min(ahead, *exact[i]);
+    }
+  });
+  for (const TraceArena& e : extra) arena.stats().absorb(e.stats());
+  std::optional<size_t> best;  // the identity's window is always measured
+  for (size_t i = 0; i < plans.size(); ++i) {
+    if (exact[i] && (!best || *exact[i] < *exact[*best])) best = i;
+  }
+  OptimizeResult res = result_of(*plans[*best]);
+  res.mws_exact = exact[*best];
+  res.mws_identity = exact[ident];
+  return res;
 }
 
 MinimizerOptions minimizer_options(const RunOptions& run) {

@@ -123,6 +123,16 @@ struct CandidatePlan {
 std::vector<CandidatePlan> candidate_plans(const LoopNest& nest,
                                            const MinimizerOptions& opts = {});
 
+/// The plans exact re-scoring measures, shared by optimize_locality and
+/// the miss-ratio objective: the first `k` of `candidates` (a
+/// candidate_plans list) plus its identity, deduplicated keeping the first
+/// occurrence, minus every plan whose transformed_scan_volume exceeds
+/// `scan_limit`.  Candidate order is kept; the identity survives whenever
+/// the nest's own iteration count is within `scan_limit`.
+std::vector<const CandidatePlan*> rescoring_set(
+    const LoopNest& nest, const std::vector<CandidatePlan>& candidates,
+    size_t k, Int scan_limit);
+
 /// End-to-end driver: picks the best legal transformation among the
 /// identity, legal loop permutations, the depth-2 row minimizer, and
 /// per-array embeddings, scored by predicted_mws_after.
@@ -133,10 +143,14 @@ OptimizeResult optimize_locality(const LoopNest& nest, const MinimizerOptions& o
 /// allocation footprint instead of rebuilding per candidate.  With several
 /// worker threads each extra chunk gets a thread-local arena whose
 /// instrumentation is folded back into `arena` -- results are bit-identical
-/// to the arena-free overload for every thread count.
+/// to the arena-free overload for every thread count.  `mws_identity`, when
+/// given, is the exact window of the original order the caller already
+/// measured: re-scoring takes it instead of tracing the identity again,
+/// and prunes the other candidates against it.
 OptimizeResult optimize_locality(const LoopNest& nest,
                                  const MinimizerOptions& opts,
-                                 TraceArena& arena);
+                                 TraceArena& arena,
+                                 std::optional<Int> mws_identity = std::nullopt);
 
 /// Maps the shared pipeline options onto this stage's knobs: threads and
 /// verify_iteration_limit come from `run`, everything else keeps its

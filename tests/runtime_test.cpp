@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "exact/oracle.h"
 #include "exact/reference.h"
 #include "exact/trace_engine.h"
 #include "ir/parser.h"
@@ -393,8 +394,9 @@ TEST(SessionBatch, ResultsIdenticalAtEveryThreadCount) {
 // optimize and full reuse the exact windows optimize_locality's re-scoring
 // measured (the identity and the winner) instead of tracing them again:
 // the payload's mws_before / mws_after equal a fresh reference-oracle run,
-// and a request costs exactly optimize_locality's oracle runs (plus full's
-// one analysis trace) -- two fewer than re-tracing both plans.
+// and a request costs exactly optimize_locality's oracle runs -- two fewer
+// than re-tracing both plans.  full's one analysis trace measures the
+// identity, so its re-scoring skips that plan: still no more runs.
 TEST(SessionOptimize, ReusesOptimizeMeasurements) {
   std::string dir = loops_dir();
   if (dir.empty()) GTEST_SKIP() << "loop files not found from test cwd";
@@ -434,13 +436,43 @@ TEST(SessionOptimize, ReusesOptimizeMeasurements) {
                 reference::simulate(nest).mws_total);
       EXPECT_EQ(static_cast<Int>(after->number),
                 reference::simulate_transformed(nest, t).mws_total);
-      const Int analysis_runs = kind == AnalysisRequest::Kind::kFull ? 1 : 0;
-      EXPECT_EQ(s.metrics().counter("oracle.runs"),
-                optimize_runs + analysis_runs);
+      EXPECT_EQ(s.metrics().counter("oracle.runs"), optimize_runs);
     }
     ++checked;
   }
   EXPECT_GE(checked, 10);
+}
+
+// Bound-pruned re-scoring on full_search: the first plan measured bounds
+// the others, so some traces stop early (oracle.pruned_runs > 0) and fewer
+// accesses are traced than full traces of the plan set take -- yet every
+// plan of the re-scoring set still starts a run, as before pruning.
+TEST(SessionOptimize, PrunedRescoringStartsEveryRun) {
+  std::string dir = loops_dir();
+  if (dir.empty()) GTEST_SKIP() << "loop files not found from test cwd";
+  const std::string source = read_file(dir + "full_search.loop");
+  Program program = parse_program(source);
+  const LoopNest& nest = program.phase_nest(0);
+  const SessionOptions opts;
+  const MinimizerOptions mopts = minimizer_options(opts.run);
+  const std::vector<CandidatePlan> candidates = candidate_plans(nest, mopts);
+  const std::vector<const CandidatePlan*> plans =
+      rescoring_set(nest, candidates, static_cast<size_t>(mopts.verify_top_k),
+                    mopts.verify_iteration_limit);
+  Int full_accesses = 0;
+  for (const CandidatePlan* p : plans) {
+    TraceArena arena;
+    (void)simulate_transformed(nest, p->t, arena);
+    full_accesses += arena.stats().accesses;
+  }
+
+  AnalysisSession s(opts);
+  AnalysisResult r =
+      s.run({source, "full_search.loop", AnalysisRequest::Kind::kOptimize});
+  ASSERT_EQ(r.status, ExitCode::kSuccess) << r.payload;
+  EXPECT_GT(s.metrics().counter("oracle.pruned_runs"), 0);
+  EXPECT_EQ(s.metrics().counter("oracle.runs"), static_cast<Int>(plans.size()));
+  EXPECT_LT(s.metrics().counter("oracle.accesses"), full_accesses);
 }
 
 }  // namespace
