@@ -2,9 +2,10 @@
 # Tier-1 gate: the standard build + full ctest run, a static-analysis
 # stage (clang-tidy when available + -Werror strict rebuild with a verify
 # smoke), a batch smoke, a serve smoke (socket round trips byte-identical
-# to batch, overload shedding, single-flight coalescing, graceful SIGTERM
-# drain), a serve-load smoke (CLI TCP round trip byte-identical to the
-# Unix transport + the bench_server --check load-harness gate), then two
+# to batch and to the CLI verb, overload shedding, single-flight
+# coalescing, graceful SIGTERM drain), a serve-load smoke (CLI TCP round
+# trip byte-identical to the Unix transport + the bench_server --check
+# load-harness gate), then two
 # sanitizer passes --
 # ThreadSanitizer over the parallel-search, pruned re-scoring and
 # shared-cache/server suites and ASan+UBSan over the parser / lint / CLI
@@ -76,7 +77,8 @@ grep -q '"cache.hit_rate": 1' BENCH_runtime.json \
 echo "== tier 1: serve smoke (socket round trips, overload, graceful stop) =="
 # Start a server, prove a cold and a warm request return byte-identical
 # payloads that also appear verbatim in `lmre batch` output for the same
-# file, probe load-shedding at queue depth 1 over the stdio transport, and
+# file, that a served verify payload is the `lmre verify --json` result,
+# probe load-shedding at queue depth 1 over the stdio transport, and
 # check SIGTERM drains cleanly (exit 0) and flushes the metrics snapshot.
 SERVE_SOCK="$BATCH_CACHE/serve.sock"
 ./build/tools/lmre serve "$SERVE_SOCK" --workers=2 \
@@ -94,10 +96,19 @@ cmp "$BATCH_CACHE/serve_cold.json" "$BATCH_CACHE/serve_warm.json" \
   > "$BATCH_CACHE/serve_batch.json"
 grep -qF "$(cat "$BATCH_CACHE/serve_cold.json")" "$BATCH_CACHE/serve_batch.json" \
   || { echo "FAIL: serve payload not byte-identical to lmre batch"; exit 1; }
+# Verb parity: the CLI verb and a served request of the same kind run the
+# same session code, so the served verify payload appears verbatim as the
+# result of `lmre verify --json`.
+./build/tools/lmre request "$SERVE_SOCK" examples/loops/example8.loop \
+  --kind=verify --raw > "$BATCH_CACHE/serve_verify.json"
+./build/tools/lmre verify --json examples/loops/example8.loop \
+  > "$BATCH_CACHE/cli_verify.json"
+grep -qF "$(cat "$BATCH_CACHE/serve_verify.json")" "$BATCH_CACHE/cli_verify.json" \
+  || { echo "FAIL: lmre verify --json result differs from the served payload"; exit 1; }
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" \
   || { echo "FAIL: serve did not exit 0 on SIGTERM"; exit 1; }
-grep -q '"serve.completed": 2' "$BATCH_CACHE/serve_metrics.json" \
+grep -q '"serve.completed": 3' "$BATCH_CACHE/serve_metrics.json" \
   || { echo "FAIL: serve metrics snapshot missing request counts"; exit 1; }
 grep -q '"serve.latency_ms"' "$BATCH_CACHE/serve_metrics.json" \
   || { echo "FAIL: serve metrics snapshot lacks the latency histogram"; exit 1; }
@@ -231,9 +242,10 @@ if command -v cc >/dev/null; then
     ./build-asan/tools/lmre codegen --run --json $KERNEL \
       > "$BATCH_CACHE/codegen_smoke.json" \
       || { echo "FAIL: codegen --run exited nonzero on $KERNEL"; exit 1; }
-    grep -q '"identical": true' "$BATCH_CACHE/codegen_smoke.json" \
+    # The result is the session's compact payload.
+    grep -q '"identical":true' "$BATCH_CACHE/codegen_smoke.json" \
       || { echo "FAIL: generated code not bit-identical on $KERNEL"; exit 1; }
-    grep -q '"status": 0' "$BATCH_CACHE/codegen_smoke.json" \
+    grep -q '"status":0' "$BATCH_CACHE/codegen_smoke.json" \
       || { echo "FAIL: generated self-check failed on $KERNEL"; exit 1; }
   done
 else

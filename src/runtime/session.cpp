@@ -20,6 +20,7 @@
 #include "transform/minimizer.h"
 #include "transform/transformed.h"
 #include "verify/certificate.h"
+#include "verify/checker.h"
 #include "verify/verify.h"
 
 namespace lmre {
@@ -73,15 +74,7 @@ namespace {
 
 // Version tag mixed into every content hash: bump when the payload schema
 // changes so stale disk caches invalidate themselves.
-constexpr const char* kHashSalt = "lmre-result-v4";
-
-Json error_json(const char* kind, const std::string& message, int line = 0,
-                int column = 0) {
-  Json err = Json::object();
-  err.set("kind", kind).set("message", message);
-  if (line > 0) err.set("line", line).set("column", column);
-  return Json::object().set("error", std::move(err));
-}
+constexpr const char* kHashSalt = "lmre-result-v5";
 
 // File-name-free diagnostic record (the cache key ignores file names, so
 // the payload must too; callers attach the name when rendering).
@@ -184,6 +177,56 @@ class OracleStatsExporter {
   const TraceArena& arena_;
 };
 
+// Resolves the plan a verify, codegen or mrc request names.  The
+// optimizer's own plan is "auto" -- for verify, "" (audit mode); any other
+// non-empty spec parses in the verify grammar; "" is the identity order.
+// Sets *origin for diagnostics and *method when the optimizer chose the
+// plan.  nullopt (with *perr) on a malformed spec.
+std::optional<VerifyPlan> resolve_plan(const AnalysisRequest& req,
+                                       const LoopNest& nest,
+                                       const RunOptions& stage,
+                                       TraceArena& arena, Metrics& metrics,
+                                       std::string* origin,
+                                       std::string* method,
+                                       std::string* perr) {
+  const std::string& spec = req.plan_spec();
+  const bool optimizer_plan = req.kind() == AnalysisRequest::Kind::kVerify
+                                  ? spec.empty()
+                                  : spec == "auto";
+  if (optimizer_plan) {
+    OptimizeResult opt;
+    {
+      Metrics::ScopedTimer t = metrics.time("stage.optimize");
+      opt = optimize_locality(nest, minimizer_options(stage), arena);
+    }
+    *method = opt.method;
+    *origin = "optimize plan (method '" + opt.method + "')";
+    VerifyPlan plan;
+    plan.steps = {opt.transform};
+    return plan;
+  }
+  if (spec.empty()) {
+    *origin = "identity plan";
+    return VerifyPlan{};
+  }
+  *origin = "supplied plan";
+  return parse_plan_spec(spec, perr);
+}
+
+Json checker_json(const CertificateCheck& check) {
+  Json jc = Json::object();
+  jc.set("ok", check.ok)
+      .set("proofs", static_cast<Int>(check.checked_proofs))
+      .set("witnesses", static_cast<Int>(check.checked_witnesses))
+      .set("trusted", static_cast<Int>(check.trusted));
+  if (!check.failures.empty()) {
+    Json fails = Json::array();
+    for (const std::string& f : check.failures) fails.push(f);
+    jc.set("failures", std::move(fails));
+  }
+  return jc;
+}
+
 }  // namespace
 
 AnalysisSession::AnalysisSession(SessionOptions opts)
@@ -267,9 +310,23 @@ std::uint64_t AnalysisSession::request_key(const AnalysisRequest& req) const {
 std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
                                              int threads, ExitCode* status) {
   using Kind = AnalysisRequest::Kind;
+  const Kind kind = req.kind();
   *status = ExitCode::kSuccess;
+  // Every refusal has one shape: {"error": {kind, message[, line, column]},
+  // "kind": <request kind>}.
+  auto fail = [&](ExitCode code, const char* what, const std::string& message,
+                  int line = 0, int column = 0) {
+    *status = code;
+    Json err = Json::object();
+    err.set("kind", what).set("message", message);
+    if (line > 0) err.set("line", line).set("column", column);
+    return Json::object()
+        .set("error", std::move(err))
+        .set("kind", to_string(kind))
+        .dump();
+  };
   Json result = Json::object();
-  result.set("kind", to_string(req.kind()));
+  result.set("kind", to_string(kind));
   // One reusable arena per request: every oracle call below (analysis
   // simulate, optimize verify loop, before/after re-scoring) shares its
   // allocation footprint, and the exporter publishes the instrumentation.
@@ -294,16 +351,20 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
       *status = ExitCode::kDiagnostics;
       return result.dump();
     }
-    if (req.kind() == Kind::kLint) return result.dump();
+    if (kind == Kind::kLint) return result.dump();
 
-    if (req.kind() == Kind::kSymbolic) {
+    // analyze and full also report on multi-phase programs; every other
+    // kind works on one nest.
+    const bool single = program.phase_count() == 1;
+    if (!single && kind != Kind::kAnalyze && kind != Kind::kFull) {
+      return fail(ExitCode::kFailure, "unsupported",
+                  std::string(kind == Kind::kSymbolic ? "symbolic analysis"
+                                                      : to_string(kind)) +
+                      " works on single-nest sources");
+    }
+
+    if (kind == Kind::kSymbolic) {
       // Closed-form path: O(1) in the iteration volume, no oracle run.
-      if (program.phase_count() != 1) {
-        *status = ExitCode::kFailure;
-        return error_json("unsupported", "symbolic analysis works on single-nest sources")
-            .set("kind", to_string(req.kind()))
-            .dump();
-      }
       SymbolicResult sym;
       {
         Metrics::ScopedTimer t = metrics_->time("stage.symbolic");
@@ -316,43 +377,23 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
 
     RunOptions stage = opts_.run;
     stage.threads = threads;
-    const bool single = program.phase_count() == 1;
 
-    if (req.kind() == Kind::kVerify) {
-      if (!single) {
-        *status = ExitCode::kFailure;
-        return error_json("unsupported", "verify works on single-nest sources")
-            .set("kind", to_string(req.kind()))
-            .dump();
-      }
+    if (kind == Kind::kVerify) {
       const LoopNest& nest = program.phase_nest(0);
-      const std::string& plan_spec = req.plan_spec();
-      VerifyPlan plan;
-      std::string origin = "supplied plan";
-      if (!plan_spec.empty()) {
-        std::string perr;
-        std::optional<VerifyPlan> parsed = parse_plan_spec(plan_spec, &perr);
-        if (!parsed) {
-          *status = ExitCode::kUsage;
-          return error_json("bad_plan", "bad plan spec: " + perr)
-              .set("kind", to_string(req.kind()))
-              .dump();
-        }
-        plan = std::move(*parsed);
-      } else {
-        // Audit mode: certify the plan the optimizer itself would emit.
-        OptimizeResult opt;
-        {
-          Metrics::ScopedTimer t = metrics_->time("stage.optimize");
-          opt = optimize_locality(nest, minimizer_options(stage), arena);
-        }
-        plan.steps = {opt.transform};
-        origin = "optimize plan (method '" + opt.method + "')";
+      std::string origin, method, perr;
+      std::optional<VerifyPlan> plan = resolve_plan(
+          req, nest, stage, arena, *metrics_, &origin, &method, &perr);
+      if (!plan) {
+        return fail(ExitCode::kUsage, "bad_plan", "bad plan spec: " + perr);
       }
       VerifyResult verdict;
+      CertificateCheck check;
       {
         Metrics::ScopedTimer t = metrics_->time("stage.verify");
-        verdict = verify_plan(nest, plan);
+        verdict = verify_plan(nest, *plan);
+        // The independent checker re-validates the prover's certificate
+        // with elementary arithmetic before anyone is told "certified".
+        check = check_certificate(nest, verdict);
       }
       DiagnosticEngine engine;
       emit_verify_diagnostics(nest, verdict, origin, /*parallel_notes=*/true,
@@ -361,61 +402,39 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
       for (const auto& d : engine.diagnostics()) diags.push(diag_json(d));
       result.set("verify", certificate_json(nest, verdict));
       result.set("verify_diagnostics", std::move(diags));
-      if (!verdict.certified) *status = ExitCode::kDiagnostics;
+      result.set("checker", checker_json(check));
+      // A rejected certificate is a prover bug: it outranks the verdict.
+      if (!check.ok) {
+        *status = ExitCode::kFailure;
+      } else if (!verdict.certified) {
+        *status = ExitCode::kDiagnostics;
+      }
       return result.dump();
     }
 
-    if (req.kind() == Kind::kCodegen) {
-      if (!single) {
-        *status = ExitCode::kFailure;
-        return error_json("unsupported", "codegen works on single-nest sources")
-            .set("kind", to_string(req.kind()))
-            .dump();
-      }
+    if (kind == Kind::kCodegen) {
       const LoopNest& nest = program.phase_nest(0);
       const AnalysisRequest::Codegen& copt = *req.codegen();
-      VerifyPlan plan;
-      std::string origin = "identity plan";
-      bool need_verify = false;
-      if (copt.plan == "auto") {
-        // The optimizer's own plan, re-certified below like `optimize`.
-        OptimizeResult opt;
-        {
-          Metrics::ScopedTimer t = metrics_->time("stage.optimize");
-          opt = optimize_locality(nest, minimizer_options(stage), arena);
-        }
-        plan.steps = {opt.transform};
-        origin = "optimize plan (method '" + opt.method + "')";
-        need_verify = true;
-      } else if (!copt.plan.empty()) {
-        std::string perr;
-        std::optional<VerifyPlan> parsed = parse_plan_spec(copt.plan, &perr);
-        if (!parsed) {
-          *status = ExitCode::kUsage;
-          return error_json("bad_plan", "bad plan spec: " + perr)
-              .set("kind", to_string(req.kind()))
-              .dump();
-        }
-        plan = std::move(*parsed);
-        origin = "supplied plan";
-        need_verify = true;
+      std::string origin, method, perr;
+      std::optional<VerifyPlan> plan = resolve_plan(
+          req, nest, stage, arena, *metrics_, &origin, &method, &perr);
+      if (!plan) {
+        return fail(ExitCode::kUsage, "bad_plan", "bad plan spec: " + perr);
       }
       // Only certified plans are ever lowered: an uncertifiable spec is a
-      // refusal, never silently-emitted wrong code.
-      if (need_verify) {
+      // refusal, never silently-emitted wrong code.  The identity order
+      // needs no certificate.
+      if (!copt.plan.empty()) {
         VerifyResult verdict;
         {
           Metrics::ScopedTimer t = metrics_->time("stage.verify");
-          verdict = verify_plan(nest, plan);
+          verdict = verify_plan(nest, *plan);
         }
         if (!verdict.certified) {
-          *status = ExitCode::kDiagnostics;
-          return error_json("uncertified",
-                            origin + " " + plan.str() +
-                                " cannot be certified; codegen refuses "
-                                "uncertified plans")
-              .set("kind", to_string(req.kind()))
-              .dump();
+          return fail(ExitCode::kDiagnostics, "uncertified",
+                      origin + " " + plan->str() +
+                          " cannot be certified; codegen refuses "
+                          "uncertified plans");
         }
       }
       CodegenResult cg;
@@ -423,10 +442,10 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
         Metrics::ScopedTimer t = metrics_->time("stage.codegen");
         CodegenOptions eopts;
         eopts.trace_limit = stage.verify_limit;
-        cg = emit_c(nest, plan, eopts);
+        cg = emit_c(nest, *plan, eopts);
       }
       Json jcg = Json::object();
-      jcg.set("plan", plan.str());
+      jcg.set("plan", plan->str());
       jcg.set("certified", true);
       jcg.set("transform", transform_json(cg.combined));
       if (!cg.tile_sizes.empty()) {
@@ -456,7 +475,7 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
       if (copt.run) {
         // The run verdict is deterministic (counters depend only on the
         // source and the plan), so it may live in the cached payload; wall
-        // clocks stay out -- the CLI reports those from live runs only.
+        // clocks stay out.
         Json jr = Json::object();
         std::string cc = find_cc(copt.cc);
         if (cc.empty()) {
@@ -489,76 +508,43 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
       return result.dump();
     }
 
-    if (req.kind() == Kind::kMrc) {
-      if (!single) {
-        *status = ExitCode::kFailure;
-        return error_json("unsupported", "mrc works on single-nest sources")
-            .set("kind", to_string(req.kind()))
-            .dump();
-      }
+
+    if (kind == Kind::kMrc) {
       const LoopNest& nest = program.phase_nest(0);
       const AnalysisRequest::Mrc& mopt = *req.mrc();
       if (!(mopt.sample_rate > 0.0) || mopt.sample_rate > 1.0) {
-        *status = ExitCode::kUsage;
-        return error_json("bad_sample_rate", "sample rate must be in (0, 1]")
-            .set("kind", to_string(req.kind()))
-            .dump();
+        return fail(ExitCode::kUsage, "bad_sample_rate",
+                    "sample rate must be in (0, 1]");
       }
       for (Int c : mopt.capacities) {
         if (c < 0) {
-          *status = ExitCode::kUsage;
-          return error_json("bad_capacities",
-                            "capacities must be non-negative integers")
-              .set("kind", to_string(req.kind()))
-              .dump();
+          return fail(ExitCode::kUsage, "bad_capacities",
+                      "capacities must be non-negative integers");
         }
       }
-      // Resolve the execution order.  MRC measures an order, it does not
-      // certify one -- legality questions belong to the verify kind.
-      IntMat transform = IntMat::identity(nest.depth());
-      std::string plan_str = "identity";
-      std::string method;
-      if (mopt.plan == "auto") {
-        OptimizeResult opt;
-        {
-          Metrics::ScopedTimer t = metrics_->time("stage.optimize");
-          opt = optimize_locality(nest, minimizer_options(stage), arena);
-        }
-        transform = opt.transform;
-        method = opt.method;
-        plan_str = transform.str();
-      } else if (!mopt.plan.empty()) {
-        std::string perr;
-        std::optional<VerifyPlan> parsed = parse_plan_spec(mopt.plan, &perr);
-        if (!parsed) {
-          *status = ExitCode::kUsage;
-          return error_json("bad_plan", "bad plan spec: " + perr)
-              .set("kind", to_string(req.kind()))
-              .dump();
-        }
-        if (parsed->has_tiling()) {
-          *status = ExitCode::kUsage;
-          return error_json("bad_plan",
-                            "mrc measures unimodular execution orders; "
-                            "tiling chunks are not supported")
-              .set("kind", to_string(req.kind()))
-              .dump();
-        }
-        transform = parsed->combined(nest.depth());
-        plan_str = parsed->str();
+      // MRC measures an order, it does not certify one -- legality
+      // questions belong to the verify kind.
+      std::string origin, method, perr;
+      std::optional<VerifyPlan> plan = resolve_plan(
+          req, nest, stage, arena, *metrics_, &origin, &method, &perr);
+      if (!plan) {
+        return fail(ExitCode::kUsage, "bad_plan", "bad plan spec: " + perr);
       }
+      if (plan->has_tiling()) {
+        return fail(ExitCode::kUsage, "bad_plan",
+                    "mrc measures unimodular execution orders; "
+                    "tiling chunks are not supported");
+      }
+      const IntMat transform = plan->combined(nest.depth());
       // Sampling thins the distance structure, not the trace: both modes
       // walk every iteration, so the volume gate applies regardless.
       const bool ident = transform == IntMat::identity(nest.depth());
       if (nest.iteration_count() > stage.verify_limit ||
           (!ident &&
            transformed_scan_volume(nest, transform) > stage.verify_limit)) {
-        *status = ExitCode::kFailure;
-        return error_json("too_large",
-                          "mrc needs an exhaustive trace; iteration volume "
-                          "exceeds the verify limit")
-            .set("kind", to_string(req.kind()))
-            .dump();
+        return fail(ExitCode::kFailure, "too_large",
+                    "mrc needs an exhaustive trace; iteration volume "
+                    "exceeds the verify limit");
       }
       MrcOptions mo;
       mo.transform = ident ? nullptr : &transform;
@@ -571,7 +557,7 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
       std::vector<Int> caps = mopt.capacities;
       if (caps.empty()) caps = default_mrc_capacities(m);
       Json jm = mrc_json(m, caps);
-      jm.set("plan", plan_str);
+      jm.set("plan", plan->str());
       if (!method.empty()) jm.set("method", method);
       jm.set("transform", transform_json(transform));
       result.set("mrc", std::move(jm));
@@ -581,7 +567,7 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
     // full's exact analysis window of the original order, handed to
     // optimize_locality so its re-scoring does not trace the identity again.
     std::optional<Int> mws_identity;
-    if (req.kind() == Kind::kAnalyze || req.kind() == Kind::kFull) {
+    if (kind == Kind::kAnalyze || kind == Kind::kFull) {
       if (single) {
         const LoopNest& nest = program.phase_nest(0);
         MemoryReport rep;
@@ -625,28 +611,17 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
       }
     }
 
-    if (req.kind() == Kind::kOptimize || req.kind() == Kind::kFull) {
-      if (!single) {
-        if (req.kind() == Kind::kOptimize) {
-          *status = ExitCode::kFailure;
-          return error_json("unsupported", "optimize works on single-nest sources")
-              .set("kind", to_string(req.kind()))
-              .dump();
-        }
-        // kFull on a program: the analysis section above is the result.
-        return result.dump();
-      }
+    if (kind == Kind::kOptimize || kind == Kind::kFull) {
+      // full on a program: the analysis section above is the result.
+      if (!single) return result.dump();
       const LoopNest& nest = program.phase_nest(0);
       const AnalysisRequest::Optimize* oopt = req.optimize();
       std::optional<ObjectiveSpec> objective =
           parse_objective_spec(oopt ? oopt->objective : std::string());
       if (!objective) {
-        *status = ExitCode::kUsage;
-        return error_json("bad_objective",
-                          "bad objective spec '" + oopt->objective +
-                              "' (want mws or miss-ratio:<capacity>)")
-            .set("kind", to_string(req.kind()))
-            .dump();
+        return fail(ExitCode::kUsage, "bad_objective",
+                    "bad objective spec '" + oopt->objective +
+                        "' (want mws or miss-ratio:<capacity>)");
       }
       OptimizeResult res;
       std::optional<MissRatioPlan> mr;
@@ -656,12 +631,9 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
           mr = optimize_miss_ratio(nest, objective->capacity,
                                    minimizer_options(stage), arena);
           if (!mr) {
-            *status = ExitCode::kFailure;
-            return error_json("too_large",
-                              "miss-ratio objective needs exact re-scoring; "
-                              "iteration volume exceeds the verify limit")
-                .set("kind", to_string(req.kind()))
-                .dump();
+            return fail(ExitCode::kFailure, "too_large",
+                        "miss-ratio objective needs exact re-scoring; "
+                        "iteration volume exceeds the verify limit");
           }
           res.transform = mr->transform;
           res.method = mr->method;
@@ -686,12 +658,9 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
       opt.set("certified", verdict.certified);
       if (!verdict.certified) {
         if (stage.strict) {
-          *status = ExitCode::kDiagnostics;
-          return error_json("uncertified",
-                            "optimize plan " + res.transform.str() +
-                                " cannot be certified; refused under --strict")
-              .set("kind", to_string(req.kind()))
-              .dump();
+          return fail(ExitCode::kDiagnostics, "uncertified",
+                      "optimize plan " + res.transform.str() +
+                          " cannot be certified; refused under --strict");
         }
         opt.set("downgraded", true);
         opt.set("uncertified_transform", transform_json(res.transform));
@@ -760,22 +729,15 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
     }
     return result.dump();
   } catch (const ParseError& e) {
-    *status = ExitCode::kDiagnostics;
-    return error_json("parse", e.message(), e.line(), e.column())
-        .set("kind", to_string(req.kind()))
-        .dump();
+    return fail(ExitCode::kDiagnostics, "parse", e.message(), e.line(),
+                e.column());
   } catch (const OverflowError& e) {
-    *status = ExitCode::kOverflow;
-    return error_json("overflow", e.what())
-        .set("kind", to_string(req.kind()))
-        .dump();
+    return fail(ExitCode::kOverflow, "overflow", e.what());
   } catch (const Error& e) {
-    *status = ExitCode::kFailure;
-    return error_json("failure", e.what())
-        .set("kind", to_string(req.kind()))
-        .dump();
+    return fail(ExitCode::kFailure, "failure", e.what());
   }
 }
+
 
 AnalysisResult AnalysisSession::run_with_threads(const AnalysisRequest& req,
                                                  int threads) {

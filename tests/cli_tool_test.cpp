@@ -7,11 +7,14 @@
 #include <string>
 
 #include "ir/parser.h"
+#include "server/wire.h"
 #include "support/error.h"
 #include "tools/commands.h"
 
 namespace lmre::tools {
 namespace {
+
+using Kind = AnalysisRequest::Kind;
 
 const char* kExample8 = R"(
   for i = 1 to 25
@@ -35,44 +38,65 @@ TEST(ExitCodeConvention, NamedValuesAreStable) {
   EXPECT_STREQ(to_string(ExitCode::kOverflow), "overflow");
 }
 
+// Runs one session-backed verb on `source` through cmd_view (text mode
+// unless `view.json`); `err` collects error payloads.
+ExitCode view(AnalysisRequest::Options options, const std::string& source,
+              std::ostream& out, std::ostream& err, bool json = false) {
+  ViewOptions opts;
+  opts.json = json;
+  return cmd_view(AnalysisRequest{source, "<input>", std::move(options)}, opts,
+                  out, err);
+}
+
 TEST(CliAnalyze, SingleNest) {
-  std::ostringstream out;
-  EXPECT_EQ(cmd_analyze(kExample8, out), ExitCode::kSuccess);
+  // The text view renders the payload's estimate/exact table; dependence
+  // distances are `lmre distances`' table, not part of the analyze payload.
+  std::ostringstream out, err;
+  EXPECT_EQ(view(AnalysisRequest::Analyze{}, kExample8, out, err),
+            ExitCode::kSuccess);
   std::string s = out.str();
-  EXPECT_NE(s.find("flow (3, -2)"), std::string::npos);
-  EXPECT_NE(s.find("anti (2, 0)"), std::string::npos);
-  EXPECT_NE(s.find("TOTAL"), std::string::npos);
+  EXPECT_NE(s.find("X[2*i + 5*j + 1] = X[2*i + 5*j + 5]"), std::string::npos);
+  EXPECT_NE(s.find("MWS exact"), std::string::npos);
+  EXPECT_NE(s.find("TOTAL  106       94            94              50       44"),
+            std::string::npos)
+      << s;
 }
 
 TEST(CliAnalyze, MultiPhase) {
-  std::ostringstream out;
-  ExitCode rc = cmd_analyze(R"(
+  std::ostringstream out, err;
+  ExitCode rc = view(AnalysisRequest::Analyze{}, R"(
     array A[8];
     phase p { for i = 1 to 8  A[i] = 0; }
     phase c { for i = 1 to 8  B[i] = A[i]; }
   )",
-                            out);
+                     out, err);
   EXPECT_EQ(rc, ExitCode::kSuccess);
   EXPECT_NE(out.str().find("whole-program window: 8"), std::string::npos);
 }
 
 TEST(CliAnalyze, ParseErrorPropagates) {
-  // run_cli formats ParseError as file:line:col (exit kDiagnostics); the
-  // cmd_* functions let it propagate instead of flattening it to text.
-  std::ostringstream out;
-  EXPECT_THROW(cmd_analyze("for i = 1 to\n", out), ParseError);
+  // The session's parse-error payload reaches the error stream as
+  // file:line:col with exit kDiagnostics.
+  std::ostringstream out, err;
+  EXPECT_EQ(view(AnalysisRequest::Analyze{}, "for i = 1 to\n", out, err),
+            ExitCode::kDiagnostics);
+  EXPECT_NE(err.str().find("<input>:2:1: error:"), std::string::npos)
+      << err.str();
 }
 
 TEST(CliAnalyze, LintErrorsAbortWithDiagnostics) {
-  std::ostringstream out;
-  ExitCode rc = cmd_analyze("array A[4];\nfor i = 1 to 10\n  use A[i];\n", out);
+  std::ostringstream out, err;
+  ExitCode rc = view(AnalysisRequest::Analyze{},
+                     "array A[4];\nfor i = 1 to 10\n  use A[i];\n", out, err);
   EXPECT_EQ(rc, ExitCode::kDiagnostics);
+  EXPECT_NE(out.str().find("<input>:3:7: error:"), std::string::npos);
   EXPECT_NE(out.str().find("[LMRE-E001]"), std::string::npos);
 }
 
 TEST(CliOptimize, FindsPaperTransform) {
-  std::ostringstream out;
-  EXPECT_EQ(cmd_optimize(kExample8, out), ExitCode::kSuccess);
+  std::ostringstream out, err;
+  EXPECT_EQ(view(AnalysisRequest::Optimize{}, kExample8, out, err),
+            ExitCode::kSuccess);
   std::string s = out.str();
   EXPECT_NE(s.find("[2 3; 1 1]"), std::string::npos);
   EXPECT_NE(s.find("44 -> 21"), std::string::npos);
@@ -86,37 +110,67 @@ TEST(CliDistances, Table) {
   EXPECT_NE(s.find("(<, =)"), std::string::npos);  // (2,0)
 }
 
-TEST(CliMisscurve, ExplicitCapacities) {
-  std::ostringstream out;
-  EXPECT_EQ(cmd_misscurve(kExample8, {64}, out), ExitCode::kSuccess);
+TEST(CliMrc, ExplicitCapacities) {
+  // The exact LRU curve of Example 8: 94 cold misses (its distinct
+  // elements), and a capacity past the knee hits on every reuse.
+  std::string file = ::testing::TempDir() + "mrc_explicit_input.loop";
+  std::ofstream(file) << kExample8;
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"mrc", "--capacities=1,48,64", file}, out, err),
+            ExitCode::kSuccess);
   std::string s = out.str();
-  EXPECT_NE(s.find("cold misses (distinct elements): 94"), std::string::npos);
-  EXPECT_NE(s.find("64"), std::string::npos);
+  EXPECT_NE(s.find("cold misses (distinct): 94"), std::string::npos) << s;
+  EXPECT_NE(s.find("64            94      18.8%"), std::string::npos) << s;
 }
 
-TEST(CliMisscurve, BadCapacityExitsUsage) {
+TEST(CliMrc, AutoSweepIncludesKnee) {
+  // Example 8's knee (max finite stack distance) is 48, and the automatic
+  // sweep runs through it.
+  std::string file = ::testing::TempDir() + "mrc_sweep_input.loop";
+  std::ofstream(file) << kExample8;
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"mrc", file}, out, err), ExitCode::kSuccess);
+  std::string s = out.str();
+  EXPECT_NE(s.find("knee: 48"), std::string::npos) << s;
+  EXPECT_NE(s.find("\n48 "), std::string::npos) << s;
+}
+
+TEST(CliMrc, BadSampleRateExitsUsage) {
+  // The CLI parses the number; the session owns the (0, 1] rule and
+  // answers with a usage-status error payload.
+  std::string file = ::testing::TempDir() + "mrc_bad_rate_input.loop";
+  std::ofstream(file) << kExample8;
+  for (const char* rate : {"0", "-0.5", "1.5"}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli({"mrc", std::string("--sample-rate=") + rate, file},
+                      out, err),
+              ExitCode::kUsage)
+        << rate;
+    EXPECT_NE(err.str().find("sample rate must be in (0, 1]"),
+              std::string::npos)
+        << rate << " -> " << err.str();
+  }
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"mrc", "--sample-rate=abc", file}, out, err),
+            ExitCode::kUsage);
+  EXPECT_NE(err.str().find("bad --sample-rate value"), std::string::npos)
+      << err.str();
+}
+
+TEST(CliMrc, BadCapacityExitsUsage) {
   // Junk and out-of-range capacities are usage errors with a message, not
   // an uncaught std::stoll exception.
-  std::string file = ::testing::TempDir() + "misscurve_input.loop";
+  std::string file = ::testing::TempDir() + "mrc_bad_cap_input.loop";
   std::ofstream(file) << kExample8;
   for (const char* cap : {"abc", "99999999999999999999", "-4", "12x"}) {
     std::ostringstream out, err;
-    EXPECT_EQ(run_cli({"misscurve", file, "64", cap}, out, err),
+    EXPECT_EQ(run_cli({"mrc", std::string("--capacities=64,") + cap, file},
+                      out, err),
               ExitCode::kUsage)
         << cap;
-    EXPECT_NE(err.str().find(std::string("bad misscurve capacity: ") + cap),
-              std::string::npos)
+    EXPECT_NE(err.str().find("bad --capacities list"), std::string::npos)
         << cap << " -> " << err.str();
   }
-  std::ostringstream out, err;
-  EXPECT_EQ(run_cli({"misscurve", file, "64"}, out, err), ExitCode::kSuccess);
-}
-
-TEST(CliMisscurve, AutoSweepIncludesKnee) {
-  std::ostringstream out;
-  EXPECT_EQ(cmd_misscurve(kExample8, {}, out), ExitCode::kSuccess);
-  EXPECT_NE(out.str().find("knee (max finite stack distance): 48"),
-            std::string::npos);
 }
 
 TEST(CliSeries, EmitsCsv) {
@@ -263,9 +317,9 @@ TEST(CliDispatcher, LintJsonVerb) {
 // 3 refuted/unproven, 1 structurally unsupported input.
 
 TEST(CliVerify, AuditModeCertifiesOptimizerPlan) {
-  VerifyCliOptions opts;
-  std::ostringstream out;
-  EXPECT_EQ(cmd_verify(kExample8, opts, out), ExitCode::kSuccess);
+  std::ostringstream out, err;
+  EXPECT_EQ(view(AnalysisRequest::Verify{}, kExample8, out, err),
+            ExitCode::kSuccess);
   std::string s = out.str();
   EXPECT_NE(s.find("optimize plan (method"), std::string::npos);
   EXPECT_NE(s.find("certified: yes"), std::string::npos);
@@ -286,23 +340,47 @@ TEST(CliVerify, ReversalRefutedWithWitnessExitsDiagnostics) {
 }
 
 TEST(CliVerify, BadPlanSpecExitsUsage) {
+  // An empty spec (`--plan=$PLAN` with PLAN unset) must not fall back to
+  // auditing the optimizer's own plan and exit 0.
   std::string path = write_temp("plain_verify.loop", kExample8);
+  for (const char* flag : {"--plan=banana", "--plan="}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli({"verify", flag, path}, out, err), ExitCode::kUsage)
+        << flag;
+    EXPECT_EQ(out.str(), "") << flag;
+  }
+}
+
+TEST(CliCodegen, EmptyPlanSpecExitsUsage) {
+  // Nor may an empty spec quietly mean the identity order for codegen and
+  // mrc, or be dropped from a request.
+  std::string path = write_temp("empty_plan_codegen.loop", kExample8);
+  for (const char* verb : {"codegen", "mrc"}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli({verb, "--plan=", path}, out, err), ExitCode::kUsage)
+        << verb;
+    EXPECT_NE(err.str().find("--plan= needs a spec"), std::string::npos)
+        << verb << " -> " << err.str();
+  }
   std::ostringstream out, err;
-  EXPECT_EQ(run_cli({"verify", "--plan=banana", path}, out, err),
+  EXPECT_EQ(run_cli({"request", "/nonexistent/lmre.sock", "--kind=codegen",
+                     "--plan=", path},
+                    out, err),
             ExitCode::kUsage);
 }
 
 TEST(CliVerify, MultiPhaseSourceExitsFailure) {
-  VerifyCliOptions opts;
-  std::ostringstream out;
-  ExitCode rc = cmd_verify(R"(
+  std::ostringstream out, err;
+  ExitCode rc = view(AnalysisRequest::Verify{}, R"(
     array A[8];
     phase p { for i = 1 to 8  A[i] = 0; }
     phase c { for i = 1 to 8  B[i] = A[i]; }
   )",
-                           opts, out);
+                     out, err);
   EXPECT_EQ(rc, ExitCode::kFailure);
-  EXPECT_NE(out.str().find("single-nest"), std::string::npos);
+  EXPECT_NE(err.str().find("<input>: error: verify works on single-nest"),
+            std::string::npos)
+      << err.str();
 }
 
 TEST(CliVerify, JsonEmitsCertificateAndCheckerVerdict) {
@@ -313,27 +391,182 @@ TEST(CliVerify, JsonEmitsCertificateAndCheckerVerdict) {
   std::string s = out.str();
   EXPECT_EQ(s.front(), '{');
   EXPECT_NE(s.find("\"command\": \"verify\""), std::string::npos);
-  EXPECT_NE(s.find("\"certified\": true"), std::string::npos);
-  EXPECT_NE(s.find("\"checker\""), std::string::npos);
-  EXPECT_NE(s.find("\"ok\": true"), std::string::npos);
+  // The envelope is pretty-printed; the spliced session payload is compact.
+  EXPECT_NE(s.find("\"certified\":true"), std::string::npos);
+  EXPECT_NE(s.find("\"checker\":{\"ok\":true"), std::string::npos);
 }
 
 TEST(CliAnalyzeJson, EnvelopeWrapsResult) {
-  std::ostringstream out;
-  EXPECT_EQ(cmd_analyze_json(kExample8, out), ExitCode::kSuccess);
+  std::ostringstream out, err;
+  EXPECT_EQ(view(AnalysisRequest::Analyze{}, kExample8, out, err,
+                 /*json=*/true),
+            ExitCode::kSuccess);
   std::string s = out.str();
   EXPECT_NE(s.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(s.find("\"command\": \"analyze\""), std::string::npos);
-  EXPECT_NE(s.find("\"mws_exact\": 44"), std::string::npos);
+  EXPECT_NE(s.find("\"mws_exact\":44"), std::string::npos);
 }
 
 TEST(CliOptimizeJson, EnvelopeWrapsResult) {
-  std::ostringstream out;
-  EXPECT_EQ(cmd_optimize_json(kExample8, out), ExitCode::kSuccess);
+  std::ostringstream out, err;
+  EXPECT_EQ(view(AnalysisRequest::Optimize{}, kExample8, out, err,
+                 /*json=*/true),
+            ExitCode::kSuccess);
   std::string s = out.str();
   EXPECT_NE(s.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(s.find("\"command\": \"optimize\""), std::string::npos);
-  EXPECT_NE(s.find("\"method\": \"row-minimizer\""), std::string::npos);
+  EXPECT_NE(s.find("\"method\":\"row-minimizer\""), std::string::npos);
+}
+
+// ---- one request path: every session-backed verb is a view ---------------
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+// The .loop corpus, sorted; empty when the source tree is not reachable
+// from the test's working directory.
+std::vector<std::string> corpus_files() {
+  namespace fs = std::filesystem;
+  std::vector<std::string> files;
+  for (const char* base : {"examples/loops", "../examples/loops",
+                           "../../examples/loops", "../../../examples/loops"}) {
+    std::error_code ec;
+    if (!fs::is_directory(base, ec)) continue;
+    for (const auto& entry : fs::directory_iterator(base, ec)) {
+      if (entry.path().extension() == ".loop") {
+        files.push_back(entry.path().string());
+      }
+    }
+    break;
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+// "1 0 0; 0 0 1; 0 1 0": the identity with the two innermost loops swapped
+// ("1" for a 1-deep nest).
+std::string innermost_interchange(size_t depth) {
+  std::string spec;
+  for (size_t r = 0; r < depth; ++r) {
+    if (r) spec += "; ";
+    const size_t one = depth < 2 || r + 2 < depth ? r : 2 * depth - 3 - r;
+    for (size_t c = 0; c < depth; ++c) {
+      if (c) spec += ' ';
+      spec += c == one ? '1' : '0';
+    }
+  }
+  return spec;
+}
+
+struct VerbCase {
+  const char* name;
+  std::vector<std::string> flags;  ///< "{plan}" = the innermost interchange
+  Kind kind;
+};
+
+void PrintTo(const VerbCase& vc, std::ostream* os) { *os << vc.name; }
+
+class CliParity : public ::testing::TestWithParam<VerbCase> {};
+
+// The CLI's --json result is the session payload byte for byte, and the
+// exit code is its status: the verb renders AnalysisSession::run, it does
+// not re-implement the pipeline.
+TEST_P(CliParity, JsonResultIsTheSessionPayload) {
+  const VerbCase& vc = GetParam();
+  const std::vector<std::string> files = corpus_files();
+  if (files.empty()) GTEST_SKIP() << "examples/loops not found from test cwd";
+  for (const std::string& file : files) {
+    const std::string source = read_text(file);
+    const Program program = parse_program(source);
+    const std::string interchange =
+        innermost_interchange(program.phase_nest(0).depth());
+
+    std::vector<std::string> args = {vc.kind == Kind::kSymbolic
+                                         ? "analyze"
+                                         : to_string(vc.kind),
+                                     "--json"};
+    AnalysisRequest req(source, file, vc.kind);
+    for (std::string flag : vc.flags) {
+      if (flag == "--plan={plan}") flag = "--plan=" + interchange;
+      args.push_back(flag);
+      const std::string value = flag.substr(flag.find('=') + 1);
+      if (flag == "--plan") {
+        if (auto* c = std::get_if<AnalysisRequest::Codegen>(&req.options)) {
+          c->plan = "auto";
+        }
+        if (auto* m = std::get_if<AnalysisRequest::Mrc>(&req.options)) {
+          m->plan = "auto";
+        }
+      } else if (flag.rfind("--plan=", 0) == 0) {
+        if (auto* v = std::get_if<AnalysisRequest::Verify>(&req.options)) {
+          v->plan = value;
+        }
+        if (auto* c = std::get_if<AnalysisRequest::Codegen>(&req.options)) {
+          c->plan = value;
+        }
+        if (auto* m = std::get_if<AnalysisRequest::Mrc>(&req.options)) {
+          m->plan = value;
+        }
+      } else if (flag.rfind("--objective=", 0) == 0) {
+        std::get<AnalysisRequest::Optimize>(req.options).objective = value;
+      }
+    }
+    args.push_back(file);
+
+    std::ostringstream out, err;
+    const ExitCode rc = run_cli(args, out, err);
+    const AnalysisResult want = AnalysisSession().run(req);
+    std::string perr;
+    const std::optional<WireValue> doc = parse_wire_json(out.str(), &perr);
+    ASSERT_TRUE(doc) << file << ": " << perr;
+    const WireValue* result = doc->find("result");
+    ASSERT_NE(result, nullptr) << file;
+    EXPECT_EQ(result->raw, want.payload) << vc.name << " " << file;
+    EXPECT_EQ(rc, want.status) << vc.name << " " << file;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Verbs, CliParity,
+    ::testing::Values(
+        VerbCase{"analyze", {}, Kind::kAnalyze},
+        VerbCase{"symbolic", {"--symbolic"}, Kind::kSymbolic},
+        VerbCase{"optimize", {}, Kind::kOptimize},
+        VerbCase{"optimize_miss_ratio", {"--objective=miss-ratio:64"},
+                 Kind::kOptimize},
+        VerbCase{"verify", {}, Kind::kVerify},
+        VerbCase{"verify_interchange", {"--plan={plan}"}, Kind::kVerify},
+        VerbCase{"codegen", {}, Kind::kCodegen},
+        VerbCase{"codegen_plan", {"--plan"}, Kind::kCodegen},
+        VerbCase{"mrc", {}, Kind::kMrc},
+        VerbCase{"mrc_plan", {"--plan"}, Kind::kMrc}));
+
+// A 1e11-iteration nest answers at once through the session's verify-limit
+// gate instead of tracing every iteration (which would take hours and
+// gigabytes), in text and in --json.
+TEST(CliResources, HugeNestSkipsTheExactTrace) {
+  const std::string file = ::testing::TempDir() + "huge_nest.loop";
+  std::ofstream(file) << "for i = 1 to 100000000000\n  A[i] = A[i-1];\n";
+  for (const char* verb : {"analyze", "optimize"}) {
+    std::ostringstream text, json, err;
+    EXPECT_EQ(run_cli({verb, file}, text, err), ExitCode::kSuccess) << verb;
+    EXPECT_EQ(run_cli({verb, "--json", file}, json, err), ExitCode::kSuccess)
+        << verb;
+    if (std::string(verb) == "analyze") {
+      EXPECT_NE(json.str().find("\"exact_skipped\":true"), std::string::npos);
+      EXPECT_NE(text.str().find("exact measurement skipped"),
+                std::string::npos)
+          << text.str();
+    } else {
+      EXPECT_EQ(json.str().find("mws_before"), std::string::npos);
+      EXPECT_NE(text.str().find("exact window: - -> -"), std::string::npos)
+          << text.str();
+    }
+  }
 }
 
 // ---- batch verb ------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Golden-file tests for `lmre verify --json`: the enveloped certificate
-// documents must match tests/golden/verify_*.json byte for byte (after
-// normalizing the probed source-root prefix out of diagnostic file names).
+// documents -- the session's "verify" payload: certificate, diagnostics
+// without file names, and the independent checker's verdict -- must match
+// tests/golden/verify_*.json byte for byte.
 //
 //   verify_example10.json         audit mode -- the optimizer's own plan
 //                                 for Example 10, certified (exit 0);
@@ -44,19 +45,8 @@ std::string source_root() {
   return "?";
 }
 
-// Replaces every occurrence of `from` with `to`.
-std::string replace_all(std::string s, const std::string& from,
-                        const std::string& to) {
-  size_t pos = 0;
-  while ((pos = s.find(from, pos)) != std::string::npos) {
-    s.replace(pos, from.size(), to);
-    pos += to.size();
-  }
-  return s;
-}
-
 // Runs `lmre verify --json [args...] <root+input>` and compares against
-// tests/golden/<golden_name>, normalizing the path prefix.
+// tests/golden/<golden_name>.
 void check_golden(const std::vector<std::string>& plan_args,
                   const std::string& input, const std::string& golden_name,
                   ExitCode want_rc) {
@@ -72,9 +62,7 @@ void check_golden(const std::vector<std::string>& plan_args,
   ExitCode rc = run_cli(args, out, err);
   EXPECT_EQ(rc, want_rc) << err.str();
 
-  std::string normalized = replace_all(out.str(), root + "tests/", "tests/");
-  normalized = replace_all(normalized, root + "examples/", "examples/");
-  EXPECT_EQ(normalized, golden)
+  EXPECT_EQ(out.str(), golden)
       << "verify --json output drifted from the golden; if intentional, "
          "regenerate with scripts/regen_golden.sh";
 }

@@ -81,39 +81,42 @@ TEST(Json, EnvelopeShape) {
             "\"schema_version\":2,\"tool\":\"lmre\"}");
 }
 
-TEST(CliJson, AnalyzeEmitsWellFormedDocument) {
-  std::ostringstream out;
-  ExitCode rc = tools::cmd_analyze_json(R"(
+const char* kExample8 = R"(
     for i = 1 to 25
       for j = 1 to 10
         X[2*i + 5*j + 1] = X[2*i + 5*j + 5];
-  )",
-                                        out);
-  EXPECT_EQ(rc, ExitCode::kSuccess);
-  std::string s = out.str();
+  )";
+
+// `lmre <verb> --json` output for kExample8: the versioned envelope around
+// the session's compact payload.
+std::string verb_json(AnalysisRequest::Options options) {
+  std::ostringstream out, err;
+  tools::ViewOptions json;
+  json.json = true;
+  EXPECT_EQ(tools::cmd_view(
+                AnalysisRequest{kExample8, "<input>", std::move(options)},
+                json, out, err),
+            ExitCode::kSuccess);
+  return out.str();
+}
+
+TEST(CliJson, AnalyzeEmitsWellFormedDocument) {
+  std::string s = verb_json(AnalysisRequest::Analyze{});
   EXPECT_NE(s.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(s.find("\"tool\": \"lmre\""), std::string::npos);
-  EXPECT_NE(s.find("\"mws_exact\": 44"), std::string::npos);
-  EXPECT_NE(s.find("\"distinct_exact\": 94"), std::string::npos);
-  EXPECT_NE(s.find("\"kind\": \"flow\""), std::string::npos);
+  EXPECT_NE(s.find("\"mws_exact\":44"), std::string::npos);
+  EXPECT_NE(s.find("\"distinct_exact\":94"), std::string::npos);
+  EXPECT_NE(s.find("\"kind\":\"analyze\""), std::string::npos);
   // Balanced braces (cheap well-formedness check).
   EXPECT_EQ(std::count(s.begin(), s.end(), '{'), std::count(s.begin(), s.end(), '}'));
   EXPECT_EQ(std::count(s.begin(), s.end(), '['), std::count(s.begin(), s.end(), ']'));
 }
 
 TEST(CliJson, OptimizeEmitsTransform) {
-  std::ostringstream out;
-  ExitCode rc = tools::cmd_optimize_json(R"(
-    for i = 1 to 25
-      for j = 1 to 10
-        X[2*i + 5*j + 1] = X[2*i + 5*j + 5];
-  )",
-                                         out);
-  EXPECT_EQ(rc, ExitCode::kSuccess);
-  std::string s = out.str();
-  EXPECT_NE(s.find("\"method\": \"row-minimizer\""), std::string::npos);
-  EXPECT_NE(s.find("\"mws_before\": 44"), std::string::npos);
-  EXPECT_NE(s.find("\"mws_after\": 21"), std::string::npos);
+  std::string s = verb_json(AnalysisRequest::Optimize{});
+  EXPECT_NE(s.find("\"method\":\"row-minimizer\""), std::string::npos);
+  EXPECT_NE(s.find("\"mws_before\":44"), std::string::npos);
+  EXPECT_NE(s.find("\"mws_after\":21"), std::string::npos);
 }
 
 TEST(CliJson, DispatcherFlag) {

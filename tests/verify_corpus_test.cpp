@@ -10,8 +10,8 @@
 //
 // The requests run through AnalysisSession with Kind::kVerify -- the same
 // path `lmre serve` and `lmre batch` use -- asserting the declared exit
-// code and that every expected id + message substring appears in the JSON
-// payload.
+// code, that every expected id + message substring appears in the JSON
+// payload, and that the independent checker accepted the certificate.
 
 #include <gtest/gtest.h>
 
@@ -102,6 +102,10 @@ TEST(VerifyCorpus, VerdictsMapOntoStableDiagnostics) {
     AnalysisResult res = session.run(req);
 
     EXPECT_EQ(static_cast<int>(res.status), std::stoi(exit_line))
+        << entry.path() << "\n" << res.payload;
+    // Every verify request -- CLI, batch or serve -- re-validates the
+    // prover's certificate with the independent checker.
+    EXPECT_NE(res.payload.find("\"checker\":{\"ok\":true"), std::string::npos)
         << entry.path() << "\n" << res.payload;
     for (const auto& [id, message] : want) {
       EXPECT_NE(res.payload.find(id), std::string::npos)

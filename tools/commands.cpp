@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -19,502 +18,438 @@
 #include <sstream>
 #include <thread>
 
-#include "analysis/report.h"
-#include "codegen/codegen.h"
-#include "codegen/driver.h"
 #include "codes/kernels.h"
 #include "dependence/dependence.h"
 #include "diag/diagnostic.h"
 #include "exact/oracle.h"
-#include "exact/stack_distance.h"
-#include "exact/trace_engine.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "lint/lint.h"
-#include "mrc/mrc.h"
-#include "runtime/session.h"
 #include "server/server.h"
 #include "server/tcp.h"
 #include "server/wire.h"
 #include "support/json.h"
 #include "support/text.h"
-#include "symbolic/derive.h"
 #include "transform/minimizer.h"
 #include "transform/transformed.h"
-#include "verify/certificate.h"
-#include "verify/checker.h"
-#include "verify/verify.h"
 
 namespace lmre::tools {
 
 namespace {
 
-// Lint gate run at the top of analyze/optimize: errors abort the command
-// with rendered diagnostics (exit kDiagnostics); warnings are surfaced and
-// the command proceeds.  Returns nullopt to continue.  `command` names the
-// JSON envelope when json is set.
-std::optional<ExitCode> lint_gate(const Program& program, const ProgramSourceMap& smap,
-                                  const std::string& file, bool json,
-                                  const std::string& command, std::ostream& out) {
-  LintResult lint = lint_program(program, &smap);
-  if (lint.has_errors()) {
-    if (json) {
-      Json doc = Json::object();
-      doc.set("error", "input rejected by lint");
-      doc.set("diagnostics", render_json(lint.diagnostics, file));
-      out << json_envelope(command, std::move(doc)).dump(2) << '\n';
-    } else {
-      out << render_text(lint.diagnostics, file, Severity::kWarning)
-          << render_summary(lint.diagnostics) << '\n';
-    }
-    return ExitCode::kDiagnostics;
-  }
-  // Warnings don't block, but the user should see them (text mode only;
-  // JSON documents keep their schema).
-  if (!json) out << render_text(lint.diagnostics, file, Severity::kWarning);
-  return std::nullopt;
+// ---- payload readers: the text views print what the payload says -------
+
+// A payload integer, read from its exact text (never through double).
+Int int_of(const WireValue* v) { return v ? std::stoll(v->raw) : 0; }
+
+std::string commas(const WireValue* v) { return with_commas(int_of(v)); }
+
+// with_commas of an optional integer; "-" when the payload omits it.
+std::string opt_commas(const WireValue* v) {
+  return v ? commas(v) : std::string("-");
 }
 
-}  // namespace
+const std::string& text_of(const WireValue* v) {
+  static const std::string empty;
+  return v ? v->text : empty;
+}
 
-ExitCode cmd_analyze(const std::string& source, std::ostream& out,
-                     const std::string& file) {
-  ProgramSourceMap smap;
-  Program parsed = parse_program(source, &smap);
-  if (auto rc = lint_gate(parsed, smap, file, /*json=*/false, "analyze", out)) {
-    return *rc;
+bool flag_of(const WireValue* v) { return v && v->boolean; }
+
+const char* yes_no(const WireValue* v) { return flag_of(v) ? "yes" : "no"; }
+
+// "(1, 3, -3)", the IntVec::str rendering of a payload integer array.
+std::string vec_str(const WireValue& v) {
+  std::string s = "(";
+  for (size_t k = 0; k < v.elements.size(); ++k) {
+    if (k) s += ", ";
+    s += v.elements[k].raw;
   }
-  const Program* program = &parsed;
+  return s + ")";
+}
 
-  if (program->phase_count() > 1) {
-    ProgramStats s = program->simulate();
-    out << "multi-phase program, " << s.iterations << " iterations\n";
+IntMat mat_of(const WireValue& rows) {
+  const size_t n = rows.elements.size();
+  IntMat m(n, n == 0 ? 0 : rows.elements[0].elements.size());
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) {
+      m(r, c) = int_of(&rows.elements[r].elements[c]);
+    }
+  }
+  return m;
+}
+
+// The payload's file-name-free diagnostic records, ready for render_text.
+std::vector<Diagnostic> diagnostics_of(const WireValue* list) {
+  std::vector<Diagnostic> diags;
+  if (!list) return diags;
+  for (const WireValue& d : list->elements) {
+    Diagnostic diag;
+    diag.id = text_of(d.find("id"));
+    const std::string& severity = text_of(d.find("severity"));
+    diag.severity = severity == "error"     ? Severity::kError
+                    : severity == "warning" ? Severity::kWarning
+                                            : Severity::kNote;
+    diag.message = text_of(d.find("message"));
+    if (const WireValue* line = d.find("line")) {
+      diag.span.line = static_cast<int>(int_of(line));
+      diag.span.column = static_cast<int>(int_of(d.find("column")));
+    }
+    diag.phase = text_of(d.find("phase"));
+    diags.push_back(std::move(diag));
+  }
+  return diags;
+}
+
+// The one nest of a source the session already parsed -- the views
+// re-parse only to print loops.
+LoopNest nest_of(const std::string& source) {
+  return parse_program(source).phase_nest(0);
+}
+
+// ---- per-kind text views ---------------------------------------------------
+
+void render_analysis(const WireValue& doc, const std::string& source,
+                     std::ostream& out) {
+  if (const WireValue* prog = doc.find("program")) {
+    out << "multi-phase program, " << prog->find("iterations")->raw
+        << " iterations\n";
+    const WireValue* phases = prog->find("phases");
+    if (!phases) {
+      out << "exact measurement skipped: iteration volume exceeds the "
+             "verify limit\n";
+      return;
+    }
     TextTable t;
     t.header({"phase", "starts", "handoff in", "peak window"});
-    for (size_t k = 0; k < program->phase_count(); ++k) {
-      t.row({program->phase_name(k), with_commas(s.phase_start[k]),
-             with_commas(s.handoff[k]), with_commas(s.phase_mws[k])});
+    for (const WireValue& p : phases->elements) {
+      t.row({text_of(p.find("name")), commas(p.find("start")),
+             commas(p.find("handoff")), commas(p.find("mws"))});
     }
-    out << t.render() << "whole-program window: " << s.mws_total << '\n';
-    return ExitCode::kSuccess;
+    out << t.render() << "whole-program window: "
+        << prog->find("mws_exact")->raw << '\n';
+    return;
   }
-
-  const LoopNest& nest = program->phase_nest(0);
-  out << print_nest(nest) << '\n';
-  out << summarize_dependences(analyze_dependences(nest));
-  out << '\n' << render(analyze_memory(nest));
-  return ExitCode::kSuccess;
-}
-
-ExitCode cmd_optimize(const std::string& source, std::ostream& out, int threads,
-                      const std::string& file, const std::string& objective) {
-  ProgramSourceMap smap;
-  Program parsed = parse_program(source, &smap);
-  if (auto rc = lint_gate(parsed, smap, file, /*json=*/false, "optimize", out)) {
-    return *rc;
-  }
-  const Program* program = &parsed;
-  if (program->phase_count() > 1) {
-    out << "optimize works on single-nest sources\n";
-    return ExitCode::kFailure;
-  }
-  const LoopNest& nest = program->phase_nest(0);
-  std::optional<ObjectiveSpec> ospec = parse_objective_spec(objective);
-  if (!ospec) {
-    out << "bad --objective spec '" << objective
-        << "' (want mws or miss-ratio:<capacity>)\n";
-    return ExitCode::kUsage;
-  }
-  MinimizerOptions opts;
-  opts.threads = threads;
-  TraceArena arena;
-  OptimizeResult res;
-  std::optional<MissRatioPlan> mr;
-  if (ospec->miss_ratio) {
-    mr = optimize_miss_ratio(nest, ospec->capacity, opts, arena);
-    if (!mr) {
-      out << "miss-ratio objective needs exact re-scoring; iteration volume "
-             "exceeds the verify limit\n";
-      return ExitCode::kFailure;
-    }
-    res.transform = mr->transform;
-    res.method = mr->method;
-    res.predicted_mws = predicted_mws_after(nest, res.transform);
-  } else {
-    res = optimize_locality(nest, opts);
-  }
-  // Independent legality audit (src/verify): an uncertifiable winner is
-  // never shipped -- it is downgraded to the identity with a notice.
-  VerifyPlan vplan;
-  vplan.steps = {res.transform};
-  VerifyResult verdict = verify_plan(nest, vplan);
-  if (!verdict.certified) {
-    out << "plan " << res.transform.str()
-        << " cannot be certified; downgraded to identity\n";
-    res.transform = IntMat::identity(nest.depth());
-    res.method = "identity (uncertified plan downgraded)";
-    res.mws_exact = res.mws_identity;
-  }
-  out << "method: " << res.method << "\nT = " << res.transform.str()
-      << "\ncertified: " << (verdict.certified ? "yes" : "no") << " ("
-      << verdict.memory_deps << " memory dependences)\n\n";
-  TransformedNest tn(nest, res.transform);
-  // Exact windows optimize's re-scoring measured are reused, not re-traced.
-  out << tn.print() << "\nexact window: "
-      << (res.mws_identity ? *res.mws_identity : simulate(nest).mws_total)
-      << " -> " << (res.mws_exact ? *res.mws_exact : tn.simulate().mws_total)
-      << '\n';
-  if (ospec->miss_ratio) {
-    // Re-measure on the final transform so a downgrade reports the shipped
-    // plan's ratio, not the refused one's.
-    const bool ident = res.transform == IntMat::identity(nest.depth());
-    MrcOptions mo;
-    mo.transform = ident ? nullptr : &res.transform;
-    double after = compute_mrc(nest, mo, arena)
-                       .aggregate.miss_ratio(ospec->capacity);
-    out << "objective: miss-ratio at capacity " << with_commas(ospec->capacity)
-        << ": " << percent(mr->miss_ratio_before) << " -> " << percent(after)
-        << " (" << mr->candidates << " candidates re-scored)\n";
-  }
-  try {
-    SymbolicResult sym = symbolic_analysis_transformed(nest, res.transform);
-    if (sym.window_total) {
-      out << "symbolic window: " << sym.window_total->str() << '\n';
-    } else if (sym.window_estimate) {
-      out << "symbolic window: " << *sym.window_estimate << '\n';
-    }
-  } catch (const Error&) {
-    // Best-effort: the exact numbers above stay authoritative.
-  }
-  return ExitCode::kSuccess;
-}
-
-ExitCode cmd_distances(const std::string& source, std::ostream& out) {
-  Program parsed = parse_program(source);
-  const Program* program = &parsed;
+  const WireValue& a = *doc.find("analysis");
+  out << print_nest(nest_of(source)) << '\n';
   TextTable t;
-  t.header({"phase", "kind", "distance", "direction", "level"});
-  for (size_t k = 0; k < program->phase_count(); ++k) {
-    DependenceInfo info = analyze_dependences(program->phase_nest(k));
-    for (const auto& d : info.deps) {
-      t.row({program->phase_name(k), to_string(d.kind), d.distance.str(),
-             direction_string(d.distance), std::to_string(d.level())});
+  t.header({"array", "declared", "distinct est", "distinct exact", "MWS est",
+            "MWS exact"});
+  for (const WireValue& ar : a.find("arrays")->elements) {
+    std::string dist_est = "-";
+    if (const WireValue* est = ar.find("distinct_estimate")) {
+      dist_est = commas(est);
+    } else if (const WireValue* upper = ar.find("distinct_upper")) {
+      dist_est = "[" + opt_commas(ar.find("distinct_lower")) + ", " +
+                 commas(upper) + "]";
     }
-    if (info.has_nonuniform()) {
-      t.row({program->phase_name(k), "non-uniform", "-", "-", "-"});
-    }
+    t.row({text_of(ar.find("name")), commas(ar.find("declared")), dist_est,
+           opt_commas(ar.find("distinct_exact")),
+           opt_commas(ar.find("mws_estimate")),
+           opt_commas(ar.find("mws_exact"))});
   }
+  t.row({"TOTAL", commas(a.find("default_memory")),
+         commas(a.find("distinct_estimate")),
+         opt_commas(a.find("distinct_exact")),
+         opt_commas(a.find("mws_estimate")), opt_commas(a.find("mws_exact"))});
   out << t.render();
-  return ExitCode::kSuccess;
+  if (flag_of(a.find("exact_skipped"))) {
+    out << "exact measurement skipped: " << commas(a.find("iterations"))
+        << " iterations exceed the verify limit\n";
+  }
 }
 
-ExitCode cmd_misscurve(const std::string& source, const std::vector<Int>& capacities,
-                       std::ostream& out) {
-  Program parsed = parse_program(source);
-  const Program* program = &parsed;
-  if (program->phase_count() > 1) {
-    out << "misscurve works on single-nest sources\n";
-    return ExitCode::kFailure;
-  }
-  const LoopNest& nest = program->phase_nest(0);
-  StackDistanceProfile profile = stack_distances(nest);
-  std::vector<Int> caps = capacities;
-  if (caps.empty()) {
-    // Automatic sweep: powers of two up to just past the knee.
-    for (Int c = 1; c <= profile.max_distance() * 2 && c <= (1 << 20); c *= 2) {
-      caps.push_back(c);
-    }
-    caps.push_back(profile.max_distance());
-  }
-  TextTable t;
-  t.header({"LRU capacity", "misses", "hit rate"});
-  for (Int c : caps) {
-    Int misses = profile.lru_misses(c);
-    double hit = profile.total_accesses == 0
-                     ? 0.0
-                     : 1.0 - double(misses) / double(profile.total_accesses);
-    t.row({with_commas(c), with_commas(misses), percent(hit)});
-  }
-  out << t.render() << "cold misses (distinct elements): " << profile.cold_accesses
-      << "\nknee (max finite stack distance): " << profile.max_distance() << '\n';
-  return ExitCode::kSuccess;
-}
-
-ExitCode cmd_series(const std::string& source, std::ostream& out) {
-  Program parsed = parse_program(source);
-  const Program* program = &parsed;
-  if (program->phase_count() > 1) {
-    out << "series works on single-nest sources\n";
-    return ExitCode::kFailure;
-  }
-  const LoopNest& nest = program->phase_nest(0);
-  std::vector<Int> series = window_series(nest, IntMat::identity(nest.depth()));
-  out << "iteration,window\n";
-  for (size_t t = 0; t < series.size(); ++t) {
-    out << t << ',' << series[t] << '\n';
-  }
-  return ExitCode::kSuccess;
-}
-
-ExitCode cmd_analyze_json(const std::string& source, std::ostream& out,
-                          const std::string& file) {
-  ProgramSourceMap smap;
-  Program parsed = parse_program(source, &smap);
-  if (auto rc = lint_gate(parsed, smap, file, /*json=*/true, "analyze", out)) {
-    return *rc;
-  }
-  const Program* program = &parsed;
-  if (program->phase_count() > 1) {
-    Json doc = Json::object().set("error", "analyze --json works on single-nest sources");
-    out << json_envelope("analyze", std::move(doc)).dump(2) << '\n';
-    return ExitCode::kFailure;
-  }
-  const LoopNest& nest = program->phase_nest(0);
-
-  Json doc = Json::object();
-  doc.set("depth", static_cast<Int>(nest.depth()));
-  doc.set("iterations", nest.iteration_count());
-  Json loops = Json::array();
-  for (size_t k = 0; k < nest.depth(); ++k) {
-    loops.push(Json::object()
-                   .set("var", nest.loop_vars()[k])
-                   .set("lo", nest.bounds().range(k).lo)
-                   .set("hi", nest.bounds().range(k).hi));
-  }
-  doc.set("loops", std::move(loops));
-
-  DependenceInfo info = analyze_dependences(nest);
-  Json deps = Json::array();
-  for (const auto& d : info.deps) {
-    Json dep = Json::object();
-    dep.set("kind", to_string(d.kind));
-    Json dist = Json::array();
-    for (size_t k = 0; k < d.distance.size(); ++k) dist.push(d.distance[k]);
-    dep.set("distance", std::move(dist));
-    dep.set("direction", direction_string(d.distance));
-    dep.set("level", static_cast<Int>(d.level()));
-    deps.push(std::move(dep));
-  }
-  doc.set("dependences", std::move(deps));
-  doc.set("nonuniform", info.has_nonuniform());
-
-  MemoryReport rep = analyze_memory(nest);
-  Json mem = Json::object();
-  mem.set("default", rep.default_memory);
-  mem.set("distinct_estimate", rep.distinct_estimate_total);
-  if (rep.distinct_exact_total) mem.set("distinct_exact", *rep.distinct_exact_total);
-  if (rep.mws_estimate_total) mem.set("mws_estimate", *rep.mws_estimate_total);
-  if (rep.mws_exact_total) mem.set("mws_exact", *rep.mws_exact_total);
-  Json arrays = Json::array();
-  for (const auto& a : rep.arrays) {
-    Json ja = Json::object();
-    ja.set("name", a.name).set("declared", a.declared);
-    if (a.distinct_estimate) ja.set("distinct_estimate", *a.distinct_estimate);
-    if (a.distinct_exact) ja.set("distinct_exact", *a.distinct_exact);
-    if (a.mws_exact) ja.set("mws_exact", *a.mws_exact);
-    arrays.push(std::move(ja));
-  }
-  mem.set("arrays", std::move(arrays));
-  doc.set("memory", std::move(mem));
-
-  out << json_envelope("analyze", std::move(doc)).dump(2) << '\n';
-  return ExitCode::kSuccess;
-}
-
-ExitCode cmd_symbolic(const std::string& source, std::ostream& out,
-                      const std::string& file) {
-  ProgramSourceMap smap;
-  Program parsed = parse_program(source, &smap);
-  if (auto rc = lint_gate(parsed, smap, file, /*json=*/false, "analyze", out)) {
-    return *rc;
-  }
-  if (parsed.phase_count() > 1) {
-    out << "symbolic analysis works on single-nest sources\n";
-    return ExitCode::kFailure;
-  }
-  SymbolicResult sym = symbolic_analysis(parsed.phase_nest(0));
-
+void render_symbolic(const WireValue& doc, const std::string& file,
+                     std::ostream& out) {
+  const WireValue& sym = *doc.find("symbolic");
   out << "symbolic bounds:";
-  for (size_t k = 0; k < sym.vars; ++k) {
-    out << (k == 0 ? " " : ", ") << sym.bound_names[k] << " = "
-        << sym.bound_values[k];
+  const std::vector<WireValue>& bounds = sym.find("bounds")->elements;
+  for (size_t k = 0; k < bounds.size(); ++k) {
+    out << (k == 0 ? " " : ", ") << text_of(bounds[k].find("name")) << " = "
+        << bounds[k].find("value")->raw;
   }
   out << '\n';
 
   TextTable t;
   t.header({"array", "quantity", "closed form", "value here"});
-  for (const auto& a : sym.arrays) {
-    if (a.distinct) {
-      t.row({a.name, "distinct", a.distinct->str(),
-             with_commas(a.distinct->eval(sym.bound_values))});
+  auto row = [&t](const std::string& array, const std::string& quantity,
+                  const WireValue* formula) {
+    if (formula) {
+      t.row({array, quantity, text_of(formula->find("rendered")),
+             commas(formula->find("value"))});
     }
-    if (a.reuse) {
-      t.row({a.name, "reuse", a.reuse->str(),
-             with_commas(a.reuse->eval(sym.bound_values))});
+  };
+  for (const WireValue& a : sym.find("arrays")->elements) {
+    const std::string& name = text_of(a.find("name"));
+    row(name, "distinct", a.find("distinct"));
+    row(name, "reuse", a.find("reuse"));
+    for (const WireValue& d : a.find("dependences")->elements) {
+      row(name, "volume d=" + vec_str(*d.find("distance")), d.find("volume"));
     }
-    for (const auto& d : a.dependences) {
-      t.row({a.name, "volume d=" + d.distance.str(), d.volume.str(),
-             with_commas(d.volume.eval(sym.bound_values))});
-    }
-    if (a.window) {
-      t.row({a.name, "window", a.window->str(),
-             with_commas(a.window->eval(sym.bound_values))});
-    }
+    row(name, "window", a.find("window"));
   }
   out << t.render();
-  if (sym.distinct_total) {
-    out << "distinct total: " << sym.distinct_total->str() << " = "
-        << with_commas(sym.distinct_total->eval(sym.bound_values)) << '\n';
-  }
-  if (sym.reuse_total) {
-    out << "reuse total:    " << sym.reuse_total->str() << " = "
-        << with_commas(sym.reuse_total->eval(sym.bound_values)) << '\n';
-  }
-  if (sym.window_total) {
-    out << "window total:   " << sym.window_total->str() << " = "
-        << with_commas(sym.window_total->eval(sym.bound_values)) << '\n';
-  }
-  if (!sym.diagnostics.empty()) {
-    out << render_text(sym.diagnostics, file, Severity::kNote);
-  }
-  return sym.usable() ? ExitCode::kSuccess : ExitCode::kDiagnostics;
-}
-
-ExitCode cmd_symbolic_json(const std::string& source, std::ostream& out,
-                           const std::string& file) {
-  ProgramSourceMap smap;
-  Program parsed = parse_program(source, &smap);
-  if (auto rc = lint_gate(parsed, smap, file, /*json=*/true, "analyze", out)) {
-    return *rc;
-  }
-  if (parsed.phase_count() > 1) {
-    Json doc = Json::object().set("error",
-                                  "symbolic analysis works on single-nest sources");
-    out << json_envelope("analyze", std::move(doc)).dump(2) << '\n';
-    return ExitCode::kFailure;
-  }
-  SymbolicResult sym = symbolic_analysis(parsed.phase_nest(0));
-  Json doc = Json::object();
-  doc.set("symbolic", symbolic_json(sym));
-  out << json_envelope("analyze", std::move(doc)).dump(2) << '\n';
-  return sym.usable() ? ExitCode::kSuccess : ExitCode::kDiagnostics;
-}
-
-ExitCode cmd_optimize_json(const std::string& source, std::ostream& out, int threads,
-                           const std::string& file, const std::string& objective) {
-  ProgramSourceMap smap;
-  Program parsed = parse_program(source, &smap);
-  if (auto rc = lint_gate(parsed, smap, file, /*json=*/true, "optimize", out)) {
-    return *rc;
-  }
-  const Program* program = &parsed;
-  if (program->phase_count() > 1) {
-    Json doc = Json::object().set("error", "optimize --json works on single-nest sources");
-    out << json_envelope("optimize", std::move(doc)).dump(2) << '\n';
-    return ExitCode::kFailure;
-  }
-  const LoopNest& nest = program->phase_nest(0);
-  std::optional<ObjectiveSpec> ospec = parse_objective_spec(objective);
-  if (!ospec) {
-    Json doc = Json::object().set(
-        "error", "bad --objective spec '" + objective +
-                     "' (want mws or miss-ratio:<capacity>)");
-    out << json_envelope("optimize", std::move(doc)).dump(2) << '\n';
-    return ExitCode::kUsage;
-  }
-  MinimizerOptions opts;
-  opts.threads = threads;
-  TraceArena arena;
-  OptimizeResult res;
-  std::optional<MissRatioPlan> mr;
-  if (ospec->miss_ratio) {
-    mr = optimize_miss_ratio(nest, ospec->capacity, opts, arena);
-    if (!mr) {
-      Json doc = Json::object().set(
-          "error",
-          "miss-ratio objective needs exact re-scoring; iteration volume "
-          "exceeds the verify limit");
-      out << json_envelope("optimize", std::move(doc)).dump(2) << '\n';
-      return ExitCode::kFailure;
+  for (const auto& [label, key] :
+       {std::pair{"distinct total: ", "distinct_total"},
+        std::pair{"reuse total:    ", "reuse_total"},
+        std::pair{"window total:   ", "window_total"}}) {
+    if (const WireValue* f = sym.find(key)) {
+      out << label << text_of(f->find("rendered")) << " = "
+          << commas(f->find("value")) << '\n';
     }
-    res.transform = mr->transform;
-    res.method = mr->method;
-    res.predicted_mws = predicted_mws_after(nest, res.transform);
-  } else {
-    res = optimize_locality(nest, opts);
   }
+  std::vector<Diagnostic> diags = diagnostics_of(sym.find("diagnostics"));
+  if (!diags.empty()) out << render_text(diags, file, Severity::kNote);
+}
 
-  Json doc = Json::object();
-  // Same certification gate as the runtime's optimize path: record the
-  // prover's verdict, never emit an uncertified transform.
-  VerifyPlan vplan;
-  vplan.steps = {res.transform};
-  VerifyResult verdict = verify_plan(nest, vplan);
-  doc.set("certified", verdict.certified);
-  if (!verdict.certified) {
-    Json bad = Json::array();
-    for (size_t r = 0; r < res.transform.rows(); ++r) {
-      Json row = Json::array();
-      for (size_t c = 0; c < res.transform.cols(); ++c) {
-        row.push(res.transform(r, c));
+void render_optimize(const WireValue& doc, const std::string& source,
+                     std::ostream& out) {
+  const WireValue& o = *doc.find("optimize");
+  const IntMat t = mat_of(*o.find("transform"));
+  if (const WireValue* refused = o.find("uncertified_transform")) {
+    out << "plan " << mat_of(*refused).str()
+        << " cannot be certified; downgraded to identity\n";
+  }
+  out << "method: " << text_of(o.find("method")) << "\nT = " << t.str()
+      << "\ncertified: " << yes_no(o.find("certified")) << "\n\n";
+  out << TransformedNest(nest_of(source), t).print()
+      << "\nexact window: " << opt_commas(o.find("mws_before")) << " -> "
+      << opt_commas(o.find("mws_after")) << '\n';
+  if (const WireValue* capacity = o.find("objective_capacity")) {
+    out << "objective: miss-ratio at capacity " << commas(capacity) << ": "
+        << percent(o.find("miss_ratio_before")->number) << " -> "
+        << percent(o.find("miss_ratio_after")->number) << '\n';
+  }
+  if (const WireValue* w = o.find("symbolic_window")) {
+    out << "symbolic window: " << w->text << '\n';
+  } else if (const WireValue* est = o.find("symbolic_window_estimate")) {
+    out << "symbolic window: " << est->text << '\n';
+  }
+}
+
+void render_verify(const WireValue& doc, const std::string& file,
+                   std::ostream& out) {
+  const WireValue& cert = *doc.find("verify");
+  const WireValue& plan = *cert.find("plan");
+  out << "plan: " << text_of(plan.find("spec")) << '\n';
+  if (!cert.find("structure_error")) {
+    const WireValue& counts = *cert.find("counts");
+    out << "combined T = " << mat_of(*plan.find("combined")).str() << '\n'
+        << "legal: " << yes_no(cert.find("legal"))
+        << ", tileable: " << yes_no(cert.find("tileable"))
+        << ", certified: " << yes_no(cert.find("certified"))
+        << ", exact: " << yes_no(cert.find("exact")) << '\n'
+        << "dependences: " << counts.find("memory")->raw << " memory / "
+        << counts.find("total")->raw << " total\n";
+    TextTable t;
+    t.header({"nest", "level", "class"});
+    const WireValue& levels = *cert.find("levels");
+    for (const char* nest : {"original", "transformed"}) {
+      for (const WireValue& lc : levels.find(nest)->elements) {
+        t.row({nest, lc.find("level")->raw,
+               flag_of(lc.find("doall"))   ? "DOALL"
+               : flag_of(lc.find("exact")) ? "carries deps"
+                                           : "unproven"});
       }
-      bad.push(std::move(row));
     }
-    doc.set("downgraded", true);
-    doc.set("uncertified_transform", std::move(bad));
-    res.transform = IntMat::identity(nest.depth());
-    res.method = "identity (uncertified plan downgraded)";
-    res.mws_exact = res.mws_identity;
+    out << t.render();
   }
-  doc.set("method", res.method);
-  Json rows = Json::array();
-  for (size_t r = 0; r < res.transform.rows(); ++r) {
-    Json row = Json::array();
-    for (size_t c = 0; c < res.transform.cols(); ++c) {
-      row.push(res.transform(r, c));
+  std::vector<Diagnostic> diags = diagnostics_of(doc.find("verify_diagnostics"));
+  out << render_text(diags, file) << render_summary(diags) << '\n';
+  const WireValue& check = *doc.find("checker");
+  out << "checker: " << (flag_of(check.find("ok")) ? "ok" : "FAILED") << " ("
+      << check.find("proofs")->raw << " proofs, "
+      << check.find("witnesses")->raw << " witnesses re-validated, "
+      << check.find("trusted")->raw << " trusted)\n";
+  if (const WireValue* failures = check.find("failures")) {
+    for (const WireValue& f : failures->elements) {
+      out << "checker: " << f.text << '\n';
     }
-    rows.push(std::move(row));
   }
-  doc.set("transform", std::move(rows));
-  doc.set("mws_before",
-          res.mws_identity ? *res.mws_identity : simulate(nest).mws_total);
-  const Int mws_after =
-      res.mws_exact ? *res.mws_exact
-                    : simulate_transformed(nest, res.transform).mws_total;
-  doc.set("mws_after", mws_after);
-  // The chosen objective, named and valued, in every optimize document --
-  // miss-ratio runs stay distinguishable from MWS runs.
-  doc.set("objective", ospec->name());
-  if (ospec->miss_ratio) {
-    doc.set("objective_capacity", ospec->capacity);
-    // Re-measure on the final transform so a downgrade reports the shipped
-    // plan's ratio, not the refused one's.
-    const bool ident = res.transform == IntMat::identity(nest.depth());
-    MrcOptions mo;
-    mo.transform = ident ? nullptr : &res.transform;
-    const double after = compute_mrc(nest, mo, arena)
-                             .aggregate.miss_ratio(ospec->capacity);
-    doc.set("objective_value", Json::number(after));
-    doc.set("miss_ratio_before", Json::number(mr->miss_ratio_before));
-    doc.set("miss_ratio_after", Json::number(after));
+}
+
+void render_codegen(const WireValue& doc, const std::string& emit_file,
+                    std::ostream& out) {
+  const WireValue& cg = *doc.find("codegen");
+  out << "plan: " << text_of(cg.find("plan")) << '\n'
+      << "combined T = " << mat_of(*cg.find("transform")).str() << '\n';
+  if (const WireValue* tiles = cg.find("tile_sizes")) {
+    out << "tile sizes:";
+    for (const WireValue& s : tiles->elements) out << ' ' << s.raw;
+    out << '\n';
+  }
+  out << "iterations: " << commas(cg.find("iterations")) << '\n'
+      << "window: " << commas(cg.find("window_cells")) << " buffer cells vs "
+      << commas(cg.find("original_cells")) << " declared (ratio "
+      << cg.find("footprint_ratio")->number << "), mws_total "
+      << cg.find("mws_total")->raw << '\n';
+  TextTable t;
+  t.header({"array", "declared", "region", "mws", "modulus", "cold loads",
+            "writebacks"});
+  for (const WireValue& b : cg.find("buffers")->elements) {
+    t.row({text_of(b.find("name")), commas(b.find("declared")),
+           commas(b.find("region")), commas(b.find("mws")),
+           commas(b.find("modulus")), commas(b.find("cold_loads")),
+           commas(b.find("writebacks"))});
+  }
+  out << t.render();
+  if (const WireValue* run = cg.find("run")) {
+    auto ok = [run](const char* key, const char* good) {
+      return flag_of(run->find(key)) ? good : "MISMATCH";
+    };
+    if (const WireValue* status = run->find("status")) {
+      out << "run: " << status->raw << '\n'
+          << "  identical " << yes_no(run->find("identical")) << ", sink "
+          << ok("sink_match", "match") << ", mws " << ok("mws_ok", "ok")
+          << " (measured " << run->find("mws_measured")->raw << ")"
+          << ", traffic " << ok("traffic_ok", "ok") << " (loads "
+          << run->find("loads")->raw << ", stores "
+          << run->find("stores")->raw << ", reloads "
+          << run->find("reloads")->raw << ")\n";
+    } else {
+      out << "run: not compiled\n";
+    }
+    if (const WireValue* detail = run->find("detail")) {
+      if (!detail->text.empty()) out << "  detail: " << detail->text << '\n';
+    }
+  }
+  if (emit_file.empty()) {
+    out << "--- generated C ---\n" << text_of(cg.find("c"));
   } else {
-    doc.set("objective_value", mws_after);
+    out << "wrote " << emit_file << '\n';
   }
-  TransformedNest tn(nest, res.transform);
-  doc.set("transformed_loop", tn.print());
-  try {
-    SymbolicResult sym = symbolic_analysis_transformed(nest, res.transform);
-    if (sym.window_total) {
-      doc.set("symbolic_window", sym.window_total->str());
-      doc.set("symbolic_window_value", sym.window_total->eval(sym.bound_values));
-    } else if (sym.window_estimate) {
-      doc.set("symbolic_window_estimate", *sym.window_estimate);
+}
+
+void render_mrc(const WireValue& doc, std::ostream& out) {
+  const WireValue& m = *doc.find("mrc");
+  const bool exact = flag_of(m.find("exact"));
+  // Exact curves carry integer weights, sampled ones rescaled estimates.
+  auto weight = [exact](const WireValue* v) {
+    if (exact) return commas(v);
+    std::ostringstream ss;
+    ss << std::fixed << std::setprecision(1) << v->number;
+    return ss.str();
+  };
+
+  out << "plan: " << text_of(m.find("plan"));
+  if (const WireValue* method = m.find("method")) {
+    out << " (method '" << method->text << "')";
+  }
+  out << '\n';
+  if (exact) {
+    out << "mode: exact\n";
+  } else {
+    out << "mode: sampled at rate " << m.find("sample_rate")->number << " ("
+        << commas(m.find("sampled_elements"))
+        << " sampled elements, error bound "
+        << percent(m.find("error_bound")->number) << ")\n";
+  }
+  out << "accesses: " << commas(m.find("accesses"))
+      << "  cold misses (distinct): " << weight(m.find("cold_misses"))
+      << "  knee: " << commas(m.find("knee")) << '\n';
+
+  TextTable arrays;
+  arrays.header({"array", "refs", "accesses", "distinct", "knee"});
+  for (const WireValue& a : m.find("arrays")->elements) {
+    arrays.row({text_of(a.find("name")), commas(a.find("refs")),
+                commas(a.find("accesses")), weight(a.find("distinct")),
+                commas(a.find("knee"))});
+  }
+  out << arrays.render();
+
+  TextTable curve;
+  curve.header({"LRU capacity", "misses", "miss ratio"});
+  for (const WireValue& p : m.find("curve")->elements) {
+    curve.row({commas(p.find("capacity")), weight(p.find("misses")),
+               percent(p.find("miss_ratio")->number)});
+  }
+  out << curve.render();
+}
+
+// The payload section a successful request of `kind` carries.
+const char* section_of(AnalysisRequest::Kind kind) {
+  switch (kind) {
+    case AnalysisRequest::Kind::kSymbolic: return "symbolic";
+    case AnalysisRequest::Kind::kOptimize: return "optimize";
+    case AnalysisRequest::Kind::kVerify: return "verify";
+    case AnalysisRequest::Kind::kCodegen: return "codegen";
+    case AnalysisRequest::Kind::kMrc: return "mrc";
+    default: return "analysis";
+  }
+}
+
+}  // namespace
+
+ExitCode cmd_view(const AnalysisRequest& req, const ViewOptions& opts,
+                  std::ostream& out, std::ostream& err) {
+  SessionOptions sopts;
+  sopts.run.threads = opts.threads;
+  AnalysisSession session(sopts);
+  const AnalysisResult res = session.run(req);
+  const std::optional<WireValue> doc = parse_wire_json(res.payload, nullptr);
+  if (!doc) {
+    err << req.file << ": error: malformed result payload\n";
+    return ExitCode::kFailure;
+  }
+  const AnalysisRequest::Kind kind = req.kind();
+
+  if (!opts.emit_file.empty()) {
+    if (const WireValue* cg = doc->find("codegen")) {
+      std::ofstream cf(opts.emit_file, std::ios::trunc);
+      if (!cf) {
+        err << "cannot write " << opts.emit_file << '\n';
+        return ExitCode::kFailure;
+      }
+      cf << text_of(cg->find("c"));
     }
-  } catch (const Error&) {
-    // Best-effort: a decline just omits the fields.
   }
-  out << json_envelope("optimize", std::move(doc)).dump(2) << '\n';
-  return ExitCode::kSuccess;
+  if (opts.json) {
+    const char* verb = kind == AnalysisRequest::Kind::kSymbolic
+                           ? "analyze"
+                           : to_string(kind);
+    out << json_envelope(verb, Json::raw(res.payload)).dump(2) << '\n';
+    return res.status;
+  }
+
+  if (const WireValue* error = doc->find("error")) {
+    err << req.file;
+    if (const WireValue* line = error->find("line")) {
+      err << ':' << line->raw << ':' << error->find("column")->raw;
+    }
+    err << ": error: " << text_of(error->find("message")) << '\n';
+    return res.status;
+  }
+  // Lint findings come first: warnings are shown and the verb proceeds; a
+  // rejected input carries no result section and stops here.
+  const WireValue* lint = doc->find("lint");
+  const std::vector<Diagnostic> lint_diags =
+      diagnostics_of(lint ? lint->find("diagnostics") : nullptr);
+  out << render_text(lint_diags, req.file, Severity::kWarning);
+  if (!doc->find(section_of(kind)) && !doc->find("program")) {
+    out << render_summary(lint_diags) << '\n';
+    return res.status;
+  }
+  switch (kind) {
+    case AnalysisRequest::Kind::kSymbolic:
+      render_symbolic(*doc, req.file, out);
+      break;
+    case AnalysisRequest::Kind::kOptimize:
+      render_optimize(*doc, req.source, out);
+      break;
+    case AnalysisRequest::Kind::kVerify:
+      render_verify(*doc, req.file, out);
+      break;
+    case AnalysisRequest::Kind::kCodegen:
+      render_codegen(*doc, opts.emit_file, out);
+      break;
+    case AnalysisRequest::Kind::kMrc:
+      render_mrc(*doc, out);
+      break;
+    default:
+      render_analysis(*doc, req.source, out);
+      break;
+  }
+  return res.status;
 }
 
 ExitCode cmd_lint(const std::string& source, const LintCliOptions& cli,
@@ -546,397 +481,38 @@ ExitCode cmd_lint(const std::string& source, const LintCliOptions& cli,
   return fail ? ExitCode::kDiagnostics : ExitCode::kSuccess;
 }
 
-ExitCode cmd_verify(const std::string& source, const VerifyCliOptions& cli,
-                    std::ostream& out, const std::string& file) {
-  ProgramSourceMap smap;
-  Program program = parse_program(source, &smap);
-  if (auto rc = lint_gate(program, smap, file, cli.json, "verify", out)) {
-    return *rc;
-  }
-  if (program.phase_count() > 1) {
-    if (cli.json) {
-      Json doc = Json::object().set("error", "verify works on single-nest sources");
-      out << json_envelope("verify", std::move(doc)).dump(2) << '\n';
-    } else {
-      out << "verify works on single-nest sources\n";
+ExitCode cmd_distances(const std::string& source, std::ostream& out) {
+  Program parsed = parse_program(source);
+  const Program* program = &parsed;
+  TextTable t;
+  t.header({"phase", "kind", "distance", "direction", "level"});
+  for (size_t k = 0; k < program->phase_count(); ++k) {
+    DependenceInfo info = analyze_dependences(program->phase_nest(k));
+    for (const auto& d : info.deps) {
+      t.row({program->phase_name(k), to_string(d.kind), d.distance.str(),
+             direction_string(d.distance), std::to_string(d.level())});
     }
-    return ExitCode::kFailure;
-  }
-  const LoopNest& nest = program.phase_nest(0);
-
-  VerifyPlan plan;
-  std::string origin = "supplied plan";
-  if (!cli.plan.empty()) {
-    std::string perr;
-    std::optional<VerifyPlan> parsed = parse_plan_spec(cli.plan, &perr);
-    if (!parsed) {
-      out << "bad --plan spec: " << perr << '\n';
-      return ExitCode::kUsage;
-    }
-    plan = std::move(*parsed);
-  } else {
-    // Audit mode: certify the plan `lmre optimize` itself would emit.
-    MinimizerOptions mopts;
-    mopts.threads = cli.threads;
-    OptimizeResult res = optimize_locality(nest, mopts);
-    plan.steps = {res.transform};
-    origin = "optimize plan (method '" + res.method + "')";
-  }
-
-  VerifyResult verdict = verify_plan(nest, plan);
-  DiagnosticEngine engine;
-  emit_verify_diagnostics(nest, verdict, origin, /*parallel_notes=*/true, engine);
-  CertificateCheck check = check_certificate(nest, verdict);
-
-  if (cli.json) {
-    Json doc = Json::object();
-    doc.set("verify", certificate_json(nest, verdict));
-    doc.set("diagnostics", render_json(engine.diagnostics(), file));
-    Json jc = Json::object();
-    jc.set("ok", check.ok)
-        .set("proofs", static_cast<Int>(check.checked_proofs))
-        .set("witnesses", static_cast<Int>(check.checked_witnesses))
-        .set("trusted", static_cast<Int>(check.trusted));
-    if (!check.failures.empty()) {
-      Json fails = Json::array();
-      for (const std::string& f : check.failures) fails.push(f);
-      jc.set("failures", std::move(fails));
-    }
-    doc.set("checker", std::move(jc));
-    out << json_envelope("verify", std::move(doc)).dump(2) << '\n';
-  } else {
-    out << "plan: " << verdict.plan.str() << " (" << origin << ")\n";
-    if (verdict.structure_error.empty()) {
-      out << "combined T = " << verdict.combined.str() << '\n'
-          << "legal: " << (verdict.legal ? "yes" : "no")
-          << ", tileable: " << (verdict.tileable ? "yes" : "no")
-          << ", certified: " << (verdict.certified ? "yes" : "no")
-          << ", exact: " << (verdict.exact ? "yes" : "no") << '\n'
-          << "dependences: " << verdict.memory_deps << " memory / "
-          << verdict.total_deps << " total\n";
-      TextTable t;
-      t.header({"nest", "level", "class"});
-      for (const LevelClass& lc : verdict.original_levels) {
-        t.row({"original", std::to_string(lc.level),
-               lc.doall ? "DOALL" : (lc.exact ? "carries deps" : "unproven")});
-      }
-      for (const LevelClass& lc : verdict.transformed_levels) {
-        t.row({"transformed", std::to_string(lc.level),
-               lc.doall ? "DOALL" : (lc.exact ? "carries deps" : "unproven")});
-      }
-      out << t.render();
-    }
-    out << render_text(engine.diagnostics(), file)
-        << render_summary(engine.diagnostics()) << '\n';
-    out << "checker: " << (check.ok ? "ok" : "FAILED") << " ("
-        << check.checked_proofs << " proofs, " << check.checked_witnesses
-        << " witnesses re-validated, " << check.trusted << " trusted)\n";
-    for (const std::string& f : check.failures) {
-      out << "checker: " << f << '\n';
+    if (info.has_nonuniform()) {
+      t.row({program->phase_name(k), "non-uniform", "-", "-", "-"});
     }
   }
-  if (!check.ok) return ExitCode::kFailure;
-  return verdict.certified ? ExitCode::kSuccess : ExitCode::kDiagnostics;
+  out << t.render();
+  return ExitCode::kSuccess;
 }
 
-namespace {
-
-/// The "codegen" result object shared by --json output here and the
-/// runtime's batch/serve payloads: plan, combined transform, window
-/// accounting, per-array buffer plans, and the C source.  Deliberately
-/// free of wall clocks so identical inputs render identical documents
-/// (the golden files pin this).
-Json codegen_json(const VerifyPlan& plan, const CodegenResult& cg,
-                  bool include_source) {
-  Json jcg = Json::object();
-  jcg.set("plan", plan.str());
-  jcg.set("certified", true);
-  Json rows = Json::array();
-  for (size_t r = 0; r < cg.combined.rows(); ++r) {
-    Json row = Json::array();
-    for (size_t c = 0; c < cg.combined.cols(); ++c) row.push(cg.combined(r, c));
-    rows.push(std::move(row));
-  }
-  jcg.set("transform", std::move(rows));
-  if (!cg.tile_sizes.empty()) {
-    Json jt = Json::array();
-    for (Int s : cg.tile_sizes) jt.push(s);
-    jcg.set("tile_sizes", std::move(jt));
-  }
-  jcg.set("iterations", cg.iterations);
-  jcg.set("original_cells", cg.original_cells);
-  jcg.set("window_cells", cg.window_cells);
-  jcg.set("mws_total", cg.mws_total);
-  jcg.set("footprint_ratio", cg.footprint_ratio());
-  Json jbufs = Json::array();
-  for (const BufferPlan& b : cg.buffers) {
-    jbufs.push(Json::object()
-                   .set("name", b.name)
-                   .set("declared", b.declared)
-                   .set("region", b.region)
-                   .set("mws", b.mws)
-                   .set("modulus", b.modulus)
-                   .set("collision_free", b.collision_free)
-                   .set("cold_loads", b.cold_loads)
-                   .set("writebacks", b.writebacks));
-  }
-  jcg.set("buffers", std::move(jbufs));
-  if (include_source) jcg.set("c", cg.c_source);
-  return jcg;
-}
-
-}  // namespace
-
-ExitCode cmd_codegen(const std::string& source, const CodegenCliOptions& cli,
-                     std::ostream& out, std::ostream& err,
-                     const std::string& file) {
-  ProgramSourceMap smap;
-  Program program = parse_program(source, &smap);
-  if (auto rc = lint_gate(program, smap, file, cli.json, "codegen", out)) {
-    return *rc;
-  }
-  if (program.phase_count() > 1) {
-    if (cli.json) {
-      Json doc = Json::object().set("error", "codegen works on single-nest sources");
-      out << json_envelope("codegen", std::move(doc)).dump(2) << '\n';
-    } else {
-      out << "codegen works on single-nest sources\n";
-    }
+ExitCode cmd_series(const std::string& source, std::ostream& out) {
+  Program parsed = parse_program(source);
+  const Program* program = &parsed;
+  if (program->phase_count() > 1) {
+    out << "series works on single-nest sources\n";
     return ExitCode::kFailure;
   }
-  const LoopNest& nest = program.phase_nest(0);
-
-  VerifyPlan plan;
-  std::string origin = "identity plan";
-  bool need_verify = false;
-  if (cli.plan == "auto") {
-    MinimizerOptions mopts;
-    mopts.threads = cli.threads;
-    OptimizeResult res = optimize_locality(nest, mopts);
-    plan.steps = {res.transform};
-    origin = "optimize plan (method '" + res.method + "')";
-    need_verify = true;
-  } else if (!cli.plan.empty()) {
-    std::string perr;
-    std::optional<VerifyPlan> parsed = parse_plan_spec(cli.plan, &perr);
-    if (!parsed) {
-      err << "bad --plan spec: " << perr << '\n';
-      return ExitCode::kUsage;
-    }
-    plan = std::move(*parsed);
-    origin = "supplied plan";
-    need_verify = true;
+  const LoopNest& nest = program->phase_nest(0);
+  std::vector<Int> series = window_series(nest, IntMat::identity(nest.depth()));
+  out << "iteration,window\n";
+  for (size_t t = 0; t < series.size(); ++t) {
+    out << t << ',' << series[t] << '\n';
   }
-  // The certification gate: nothing but the identity order is ever
-  // lowered without a dependence-preservation certificate.
-  if (need_verify) {
-    VerifyResult verdict = verify_plan(nest, plan);
-    if (!verdict.certified) {
-      const std::string msg = origin + " " + plan.str() +
-                              " cannot be certified; codegen refuses "
-                              "uncertified plans";
-      if (cli.json) {
-        Json doc = Json::object().set("error", msg);
-        out << json_envelope("codegen", std::move(doc)).dump(2) << '\n';
-      } else {
-        out << msg << '\n';
-      }
-      return ExitCode::kDiagnostics;
-    }
-  }
-
-  CodegenResult cg = emit_c(nest, plan);
-
-  if (!cli.emit_file.empty()) {
-    std::ofstream cf(cli.emit_file, std::ios::trunc);
-    if (!cf) {
-      err << "cannot write " << cli.emit_file << '\n';
-      return ExitCode::kFailure;
-    }
-    cf << cg.c_source;
-  }
-
-  ExitCode rc = ExitCode::kSuccess;
-  std::optional<RunVerdict> run;
-  if (cli.run) {
-    std::string cc = find_cc(cli.cc);
-    if (cc.empty()) {
-      err << "codegen --run: no usable C compiler ("
-          << (cli.cc.empty() ? std::string("cc") : cli.cc) << ") on PATH\n";
-      return ExitCode::kFailure;
-    }
-    run = compile_and_run(cg.c_source, cc);
-    if (!run->ok()) rc = ExitCode::kFailure;
-  }
-
-  if (cli.json) {
-    Json jcg = codegen_json(plan, cg, /*include_source=*/cli.emit_file.empty());
-    if (run) {
-      Json jr = Json::object()
-                    .set("compiled", run->compiled)
-                    .set("ran", run->ran)
-                    .set("identical", run->identical)
-                    .set("sink_match", run->sink_match)
-                    .set("mws_ok", run->mws_ok)
-                    .set("traffic_ok", run->traffic_ok)
-                    .set("status", run->status)
-                    .set("loads", run->loads)
-                    .set("stores", run->stores)
-                    .set("reloads", run->reloads)
-                    .set("mws_measured", run->mws_measured);
-      if (!run->ok()) jr.set("detail", run->detail);
-      jcg.set("run", std::move(jr));
-    }
-    Json doc = Json::object();
-    doc.set("codegen", std::move(jcg));
-    out << json_envelope("codegen", std::move(doc)).dump(2) << '\n';
-  } else {
-    out << "plan: " << plan.str() << " (" << origin << ")\n"
-        << "combined T = " << cg.combined.str() << '\n';
-    if (!cg.tile_sizes.empty()) {
-      out << "tile sizes:";
-      for (Int s : cg.tile_sizes) out << ' ' << s;
-      out << '\n';
-    }
-    out << "iterations: " << with_commas(cg.iterations) << '\n'
-        << "window: " << with_commas(cg.window_cells) << " buffer cells vs "
-        << with_commas(cg.original_cells) << " declared (ratio "
-        << cg.footprint_ratio() << "), mws_total " << cg.mws_total << '\n';
-    TextTable t;
-    t.header({"array", "declared", "region", "mws", "modulus", "cold loads",
-              "writebacks"});
-    for (const BufferPlan& b : cg.buffers) {
-      t.row({b.name, with_commas(b.declared), with_commas(b.region),
-             with_commas(b.mws), with_commas(b.modulus),
-             with_commas(b.cold_loads), with_commas(b.writebacks)});
-    }
-    out << t.render();
-    if (run) {
-      out << "run: " << run->status << " (compile " << run->compile_ms
-          << " ms, run " << run->run_ms << " ms)\n"
-          << "  identical " << (run->identical ? "yes" : "no")
-          << ", sink " << (run->sink_match ? "match" : "MISMATCH")
-          << ", mws " << (run->mws_ok ? "ok" : "MISMATCH") << " (measured "
-          << run->mws_measured << ")"
-          << ", traffic " << (run->traffic_ok ? "ok" : "MISMATCH")
-          << " (loads " << run->loads << ", stores " << run->stores
-          << ", reloads " << run->reloads << ")\n";
-      if (!run->ok() && !run->detail.empty()) {
-        out << "  detail: " << run->detail << '\n';
-      }
-    }
-    if (cli.emit_file.empty()) {
-      out << "--- generated C ---\n" << cg.c_source;
-    } else {
-      out << "wrote " << cli.emit_file << '\n';
-    }
-  }
-  return rc;
-}
-
-ExitCode cmd_mrc(const std::string& source, const MrcCliOptions& cli,
-                 std::ostream& out, const std::string& file) {
-  if (cli.json) {
-    // Route through an AnalysisSession so the payload is byte-identical to
-    // what `lmre batch` and `lmre serve` embed for the same request
-    // (including lint rejections and volume-gate errors).
-    AnalysisRequest::Mrc mopt;
-    mopt.plan = cli.plan;
-    mopt.sample_rate = cli.sample_rate;
-    mopt.capacities = cli.capacities;
-    SessionOptions sopts;
-    sopts.run.threads = cli.threads;
-    AnalysisSession session(sopts);
-    AnalysisResult res =
-        session.run(AnalysisRequest{source, file, std::move(mopt)});
-    out << json_envelope("mrc", Json::raw(res.payload)).dump(2) << '\n';
-    return res.status;
-  }
-
-  ProgramSourceMap smap;
-  Program program = parse_program(source, &smap);
-  if (auto rc = lint_gate(program, smap, file, /*json=*/false, "mrc", out)) {
-    return *rc;
-  }
-  if (program.phase_count() > 1) {
-    out << "mrc works on single-nest sources\n";
-    return ExitCode::kFailure;
-  }
-  const LoopNest& nest = program.phase_nest(0);
-
-  // Resolve the execution order.  MRC measures an order, it does not
-  // certify one -- legality questions belong to `lmre verify`.
-  IntMat transform = IntMat::identity(nest.depth());
-  std::string plan_str = "identity";
-  std::string method;
-  if (cli.plan == "auto") {
-    MinimizerOptions mopts;
-    mopts.threads = cli.threads;
-    OptimizeResult res = optimize_locality(nest, mopts);
-    transform = res.transform;
-    method = res.method;
-    plan_str = transform.str();
-  } else if (!cli.plan.empty()) {
-    std::string perr;
-    std::optional<VerifyPlan> parsed = parse_plan_spec(cli.plan, &perr);
-    if (!parsed) {
-      out << "bad --plan spec: " << perr << '\n';
-      return ExitCode::kUsage;
-    }
-    if (parsed->has_tiling()) {
-      out << "mrc measures unimodular execution orders; tiling chunks are "
-             "not supported\n";
-      return ExitCode::kUsage;
-    }
-    transform = parsed->combined(nest.depth());
-    plan_str = parsed->str();
-  }
-
-  const bool ident = transform == IntMat::identity(nest.depth());
-  MrcOptions mo;
-  mo.transform = ident ? nullptr : &transform;
-  mo.sample_rate = cli.sample_rate;
-  MrcResult m = compute_mrc(nest, mo);
-  std::vector<Int> caps = cli.capacities;
-  if (caps.empty()) caps = default_mrc_capacities(m);
-
-  const bool exact = m.sample_rate >= 1.0;
-  auto weight = [&](double v) {
-    if (exact) return with_commas(static_cast<Int>(std::llround(v)));
-    std::ostringstream ss;
-    ss << std::fixed << std::setprecision(1) << v;
-    return ss.str();
-  };
-
-  out << "plan: " << plan_str;
-  if (!method.empty()) out << " (method '" << method << "')";
-  out << '\n';
-  if (exact) {
-    out << "mode: exact\n";
-  } else {
-    out << "mode: sampled at rate " << m.sample_rate << " ("
-        << with_commas(m.sampled_elements) << " sampled elements, error bound "
-        << percent(m.error_bound) << ")\n";
-  }
-  out << "accesses: " << weight(m.aggregate.total)
-      << "  cold misses (distinct): " << weight(m.aggregate.cold)
-      << "  knee: " << with_commas(m.knee) << '\n';
-
-  TextTable arrays;
-  arrays.header({"array", "refs", "accesses", "distinct", "knee"});
-  for (const MrcArrayCurve& a : m.arrays) {
-    arrays.row({a.name, with_commas(a.refs), weight(a.hist.total),
-                weight(a.hist.cold), with_commas(a.hist.max_distance())});
-  }
-  out << arrays.render();
-
-  TextTable curve;
-  curve.header({"LRU capacity", "misses", "miss ratio"});
-  for (Int c : caps) {
-    curve.row({with_commas(c), weight(m.aggregate.misses(c)),
-               percent(m.aggregate.miss_ratio(c))});
-  }
-  out << curve.render();
   return ExitCode::kSuccess;
 }
 
@@ -1169,7 +745,7 @@ ExitCode cmd_request(const std::string& source, const std::string& file,
   Json options = Json::object();
   if (!opts.plan.empty()) options.set("plan", opts.plan);
   if (!opts.objective.empty()) options.set("objective", opts.objective);
-  if (opts.sample_rate > 0) options.set("sample_rate", opts.sample_rate);
+  if (opts.sample_rate) options.set("sample_rate", *opts.sample_rate);
   if (!opts.capacities.empty()) {
     Json caps = Json::array();
     for (Int c : opts.capacities) caps.push(c);
@@ -1304,7 +880,7 @@ std::string usage() {
   std::string u =
       "usage: lmre <command> [args]\n"
       "  analyze   [--json] [--symbolic] <file|->\n"
-      "                                dependences + memory report;\n"
+      "                                estimates + exact window report;\n"
       "                                --symbolic: closed-form formulas in\n"
       "                                the bounds N1..Nn (O(1) in the trip\n"
       "                                counts, declines with LMRE-E017\n"
@@ -1376,7 +952,6 @@ std::string usage() {
       "                                knobs, --raw prints just the payload\n"
       "  version                       schema version + build info\n"
       "  distances <file|->            dependence distance/direction table\n"
-      "  misscurve <file|-> [caps...]  exact LRU miss counts by capacity\n"
       "  series    <file|->            window-size time series as CSV\n"
       "  figure2   [--threads=N]       regenerate the paper's main table\n"
       "--threads: search/verify workers (0 = all cores, 1 = serial; the\n"
@@ -1399,7 +974,9 @@ std::string usage() {
          e.meaning + "\n";
   }
   u +=
-      "--json output is wrapped in {schema_version, tool, command, result}.\n"
+      "--json output is wrapped in {schema_version, tool, command, result};\n"
+      "for analyze, optimize, verify, codegen and mrc the result is the\n"
+      "same payload batch and serve embed for that request kind.\n"
       "DSL files use the grammar in src/ir/parser.h; '-' reads stdin.\n";
   return u;
 }
@@ -1433,29 +1010,22 @@ std::optional<IntMat> parse_plan_matrix(const std::string& text) {
   return m;
 }
 
-// Parses one cache capacity (a non-negative integer that fits Int);
-// nullopt on junk, a sign, or out-of-range text.
-std::optional<Int> parse_capacity(const std::string& tok) {
-  try {
-    size_t pos = 0;
-    long long v = std::stoll(tok, &pos);
-    if (pos != tok.size() || v < 0) return std::nullopt;
-    return static_cast<Int>(v);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-// Parses "--capacities=1,64,540" (comma-separated non-negative integers);
-// nullopt on malformed input or an empty list.
+// Parses "--capacities=1,64,540" (comma-separated non-negative integers
+// that fit Int); nullopt on junk, a sign, out-of-range text, or an empty
+// list.
 std::optional<std::vector<Int>> parse_capacity_list(const std::string& text) {
   std::vector<Int> caps;
   std::istringstream ss(text);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    std::optional<Int> cap = parse_capacity(tok);
-    if (!cap) return std::nullopt;
-    caps.push_back(*cap);
+    try {
+      size_t pos = 0;
+      long long v = std::stoll(tok, &pos);
+      if (pos != tok.size() || v < 0) return std::nullopt;
+      caps.push_back(static_cast<Int>(v));
+    } catch (const std::exception&) {
+      return std::nullopt;
+    }
   }
   if (caps.empty()) return std::nullopt;
   return caps;
@@ -1475,11 +1045,17 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
   bool json = false;
   bool symbolic = false;
   int threads = 1;
-  std::string objective;
+  std::string emit_file;
   LintCliOptions lint_opts;
-  VerifyCliOptions verify_opts;
-  CodegenCliOptions codegen_opts;
-  MrcCliOptions mrc_opts;
+  // The session-backed verbs fill their request's own options; the session
+  // validates them (a malformed plan, objective or sample rate is a
+  // usage-status payload), so no second copy of those rules lives here;
+  // flag parsing only turns text into numbers and refuses an empty
+  // --plan=, which the request options cannot tell from "no plan".
+  AnalysisRequest::Optimize optimize_opts;
+  AnalysisRequest::Verify verify_opts;
+  AnalysisRequest::Codegen codegen_opts;
+  AnalysisRequest::Mrc mrc_opts;
   BatchCliOptions batch_opts;
   ServeCliOptions serve_opts;
   RequestCliOptions request_opts;
@@ -1631,99 +1207,53 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
     } else if (cmd == "request" && it->rfind("--kind=", 0) == 0) {
       request_opts.kind = it->substr(7);
       it = rest.erase(it);
-    } else if (cmd == "request" && it->rfind("--plan=", 0) == 0) {
-      request_opts.plan = it->substr(7);
-      it = rest.erase(it);
     } else if (cmd == "verify" && *it == "--plan") {
       // Bare --plan is the default audit mode; accepted for symmetry with
       // `lmre lint --plan`.
       it = rest.erase(it);
-    } else if (cmd == "verify" && it->rfind("--plan=", 0) == 0) {
-      verify_opts.plan = it->substr(7);
-      std::string perr;
-      if (!parse_plan_spec(verify_opts.plan, &perr)) {
-        err << "bad --plan spec: " << perr << '\n';
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "codegen" && *it == "--plan") {
-      // Bare --plan means "the optimizer's own plan" (certified-gated).
-      codegen_opts.plan = "auto";
-      it = rest.erase(it);
-    } else if (cmd == "codegen" && it->rfind("--plan=", 0) == 0) {
-      codegen_opts.plan = it->substr(7);
-      std::string perr;
-      if (codegen_opts.plan != "auto" &&
-          !parse_plan_spec(codegen_opts.plan, &perr)) {
-        err << "bad --plan spec: " << perr << '\n';
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "optimize" && it->rfind("--objective=", 0) == 0) {
-      objective = it->substr(12);
-      if (!parse_objective_spec(objective)) {
-        err << "bad --objective spec '" << objective
-            << "' (want mws or miss-ratio:<capacity>)\n";
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "mrc" && *it == "--plan") {
+    } else if ((cmd == "codegen" || cmd == "mrc") && *it == "--plan") {
       // Bare --plan means "the optimizer's own plan".
-      mrc_opts.plan = "auto";
+      codegen_opts.plan = mrc_opts.plan = "auto";
       it = rest.erase(it);
-    } else if (cmd == "mrc" && it->rfind("--plan=", 0) == 0) {
-      mrc_opts.plan = it->substr(7);
-      std::string perr;
-      if (mrc_opts.plan != "auto" &&
-          !parse_plan_spec(mrc_opts.plan, &perr)) {
-        err << "bad --plan spec: " << perr << '\n';
+    } else if ((cmd == "verify" || cmd == "codegen" || cmd == "mrc" ||
+                cmd == "request") &&
+               it->rfind("--plan=", 0) == 0) {
+      // An empty spec would read as the default plan downstream, so
+      // `--plan=$UNSET` must not quietly audit or emit the identity.
+      if (it->size() == 7) {
+        err << "--plan= needs a spec (bare --plan for the default)\n";
         return ExitCode::kUsage;
       }
+      verify_opts.plan = codegen_opts.plan = mrc_opts.plan =
+          request_opts.plan = it->substr(7);
       it = rest.erase(it);
-    } else if (cmd == "mrc" && it->rfind("--sample-rate=", 0) == 0) {
+    } else if ((cmd == "optimize" || cmd == "request") &&
+               it->rfind("--objective=", 0) == 0) {
+      optimize_opts.objective = request_opts.objective = it->substr(12);
+      it = rest.erase(it);
+    } else if ((cmd == "mrc" || cmd == "request") &&
+               it->rfind("--sample-rate=", 0) == 0) {
+      // The range rule lives in the session (bad_sample_rate) and the
+      // wire parser; only the number itself is parsed here.
+      double rate = 0;
       try {
-        mrc_opts.sample_rate = std::stod(it->substr(14));
+        rate = std::stod(it->substr(14));
       } catch (const std::exception&) {
         err << "bad --sample-rate value: " << *it << '\n';
         return ExitCode::kUsage;
       }
-      if (!(mrc_opts.sample_rate > 0.0) || mrc_opts.sample_rate > 1.0) {
-        err << "--sample-rate must be in (0, 1]\n";
-        return ExitCode::kUsage;
-      }
+      mrc_opts.sample_rate = rate;
+      request_opts.sample_rate = rate;
       it = rest.erase(it);
-    } else if (cmd == "mrc" && it->rfind("--capacities=", 0) == 0) {
+    } else if ((cmd == "mrc" || cmd == "request") &&
+               it->rfind("--capacities=", 0) == 0) {
       auto caps = parse_capacity_list(it->substr(13));
       if (!caps) {
         err << "bad --capacities list: " << it->substr(13)
             << " (want comma-separated non-negative integers)\n";
         return ExitCode::kUsage;
       }
-      mrc_opts.capacities = std::move(*caps);
-      it = rest.erase(it);
-    } else if (cmd == "request" && it->rfind("--objective=", 0) == 0) {
-      request_opts.objective = it->substr(12);
-      it = rest.erase(it);
-    } else if (cmd == "request" && it->rfind("--sample-rate=", 0) == 0) {
-      try {
-        request_opts.sample_rate = std::stod(it->substr(14));
-      } catch (const std::exception&) {
-        err << "bad --sample-rate value: " << *it << '\n';
-        return ExitCode::kUsage;
-      }
-      if (!(request_opts.sample_rate > 0.0) || request_opts.sample_rate > 1.0) {
-        err << "--sample-rate must be in (0, 1]\n";
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "request" && it->rfind("--capacities=", 0) == 0) {
-      auto caps = parse_capacity_list(it->substr(13));
-      if (!caps) {
-        err << "bad --capacities list: " << it->substr(13)
-            << " (want comma-separated non-negative integers)\n";
-        return ExitCode::kUsage;
-      }
-      request_opts.capacities = std::move(*caps);
+      mrc_opts.capacities = request_opts.capacities = std::move(*caps);
       it = rest.erase(it);
     } else if (cmd == "codegen" && *it == "--run") {
       codegen_opts.run = true;
@@ -1732,8 +1262,8 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
       codegen_opts.cc = it->substr(5);
       it = rest.erase(it);
     } else if (cmd == "codegen" && it->rfind("--emit=", 0) == 0) {
-      codegen_opts.emit_file = it->substr(7);
-      if (codegen_opts.emit_file.empty()) {
+      emit_file = it->substr(7);
+      if (emit_file.empty()) {
         err << "--emit needs a file name\n";
         return ExitCode::kUsage;
       }
@@ -1801,7 +1331,7 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
   }
   if (cmd == "analyze" || cmd == "optimize" || cmd == "lint" ||
       cmd == "verify" || cmd == "codegen" || cmd == "mrc" ||
-      cmd == "distances" || cmd == "misscurve" || cmd == "series") {
+      cmd == "distances" || cmd == "series") {
     if (rest.empty()) {
       err << usage();
       return ExitCode::kUsage;
@@ -1810,50 +1340,29 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
     auto source = read_source(path, err);
     if (!source) return ExitCode::kFailure;
     const std::string file = path == "-" ? "<stdin>" : path;
+    std::optional<AnalysisRequest::Options> options;
+    if (cmd == "analyze" && symbolic) {
+      options = AnalysisRequest::Symbolic{};
+    } else if (cmd == "analyze") {
+      options = AnalysisRequest::Analyze{};
+    } else if (cmd == "optimize") {
+      options = std::move(optimize_opts);
+    } else if (cmd == "verify") {
+      options = std::move(verify_opts);
+    } else if (cmd == "codegen") {
+      options = std::move(codegen_opts);
+    } else if (cmd == "mrc") {
+      options = std::move(mrc_opts);
+    }
+    if (options) {
+      return cmd_view(AnalysisRequest{std::move(*source), file,
+                                      std::move(*options)},
+                      ViewOptions{json, threads, emit_file}, out, err);
+    }
     try {
-      if (cmd == "analyze" && symbolic) {
-        return json ? cmd_symbolic_json(*source, out, file)
-                    : cmd_symbolic(*source, out, file);
-      }
-      if (cmd == "analyze") {
-        return json ? cmd_analyze_json(*source, out, file)
-                    : cmd_analyze(*source, out, file);
-      }
-      if (cmd == "optimize" && json) {
-        return cmd_optimize_json(*source, out, threads, file, objective);
-      }
-      if (cmd == "optimize") {
-        return cmd_optimize(*source, out, threads, file, objective);
-      }
       if (cmd == "lint") return cmd_lint(*source, lint_opts, out, file);
-      if (cmd == "verify") {
-        verify_opts.json = json;
-        verify_opts.threads = threads;
-        return cmd_verify(*source, verify_opts, out, file);
-      }
-      if (cmd == "codegen") {
-        codegen_opts.json = json;
-        codegen_opts.threads = threads;
-        return cmd_codegen(*source, codegen_opts, out, err, file);
-      }
-      if (cmd == "mrc") {
-        mrc_opts.json = json;
-        mrc_opts.threads = threads;
-        return cmd_mrc(*source, mrc_opts, out, file);
-      }
       if (cmd == "distances") return cmd_distances(*source, out);
-      if (cmd == "series") return cmd_series(*source, out);
-      std::vector<Int> caps;
-      for (size_t i = 1; i < rest.size(); ++i) {
-        std::optional<Int> cap = parse_capacity(rest[i]);
-        if (!cap) {
-          err << "bad misscurve capacity: " << rest[i]
-              << " (want a non-negative integer)\n";
-          return ExitCode::kUsage;
-        }
-        caps.push_back(*cap);
-      }
-      return cmd_misscurve(*source, caps, out);
+      return cmd_series(*source, out);
     } catch (const ParseError& e) {
       err << file << ':' << e.line() << ':' << e.column() << ": error: "
           << e.message() << '\n';

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "linalg/mat.h"
+#include "runtime/session.h"
 #include "support/checked.h"
 #include "support/error.h"
 
@@ -17,31 +18,41 @@ namespace lmre::tools {
 
 // Exit codes follow the named ExitCode convention in support/error.h
 // (kSuccess/kFailure/kUsage/kDiagnostics/kOverflow = 0/1/2/3/4), shared by
-// every subcommand, run_cli, and the batch runtime.  Parse errors propagate
-// as ParseError out of the cmd_* functions; run_cli formats them as
-// "file:line:col: error: ..." on the error stream.
+// every subcommand, run_cli, and the batch runtime.  Parse errors surface
+// as "file:line:col: error: ..." on the error stream: cmd_view reads the
+// position from the session's error payload, and the remaining parsing
+// commands let ParseError propagate for run_cli to format.
 //
 // Every `--json` emitter wraps its payload in the common versioned envelope
 // (json_envelope in support/json.h):
-//   {"schema_version": 1, "tool": "lmre", "command": ..., "result": ...}
+//   {"schema_version": 2, "tool": "lmre", "command": ..., "result": ...}
 
-/// `lmre analyze <dsl>`: dependences + memory report (+ program handoffs
-/// for multi-phase sources).  Lints the input first: errors abort with
-/// diagnostics (exit kDiagnostics), warnings are printed and analysis
-/// continues.  `file` names the input in diagnostics.
-ExitCode cmd_analyze(const std::string& source, std::ostream& out,
-                     const std::string& file = "<input>");
+/// Presentation knobs of the session-backed verbs.  Everything that shapes
+/// the result lives in the request's own options (AnalysisRequest::Optimize,
+/// Verify, Codegen, Mrc), so a verb cannot drift from batch and serve.
+struct ViewOptions {
+  bool json = false;      ///< print the payload in the JSON envelope
+  int threads = 1;        ///< session workers (0 = all cores, 1 = serial)
+  std::string emit_file;  ///< codegen --emit=FILE: write the C unit here
+};
 
-/// `lmre optimize [--objective=SPEC] <dsl>`: transformation search,
-/// transformed loop, before/after windows.  Lint-gated like cmd_analyze.
-/// `threads` follows the RunOptions convention (0 = hardware concurrency,
-/// 1 = serial); results are identical either way.  `objective` selects the
-/// search metric: ""/"mws" = the paper's window objective,
-/// "miss-ratio:<capacity>" re-scores the top candidates by exact miss
-/// ratio at that LRU capacity (src/mrc).
-ExitCode cmd_optimize(const std::string& source, std::ostream& out,
-                      int threads = 1, const std::string& file = "<input>",
-                      const std::string& objective = {});
+/// `lmre analyze [--symbolic] | optimize [--objective=SPEC] | verify
+/// [--plan[=SPEC]] | codegen [--plan[=SPEC]] [--run] [--cc=PATH]
+/// [--emit=FILE] | mrc [--plan[=SPEC]] [--sample-rate=R]
+/// [--capacities=LIST]`: runs `req` through one AnalysisSession -- the
+/// one code path per request kind -- and renders its payload.
+///
+///   --json   json_envelope(verb, payload): the result is byte-identical
+///            to what `lmre batch` and `lmre serve` embed for the request.
+///   text     a view of the same payload.  Lint warnings come first; a
+///            lint rejection prints its diagnostics and summary; an error
+///            payload prints "file[:line:col]: error: message" on `err`
+///            (parse errors carry the position).  The views re-parse the
+///            source only to print loop nests.
+///
+/// The exit code is always the result's status.
+ExitCode cmd_view(const AnalysisRequest& req, const ViewOptions& opts,
+                  std::ostream& out, std::ostream& err);
 
 /// Options for `lmre lint`, parsed by run_cli.
 struct LintCliOptions {
@@ -61,115 +72,9 @@ ExitCode cmd_lint(const std::string& source, const LintCliOptions& opts,
 /// `lmre distances <dsl>`: dependence distance/direction table.
 ExitCode cmd_distances(const std::string& source, std::ostream& out);
 
-/// `lmre misscurve <dsl> [capacities...]`: LRU miss counts from the exact
-/// stack-distance profile; empty capacities = automatic sweep.
-ExitCode cmd_misscurve(const std::string& source,
-                       const std::vector<Int>& capacities, std::ostream& out);
-
 /// `lmre series <dsl>`: CSV of the window-size time series (ordinal,
 /// live-element count) in original order -- for plotting.
 ExitCode cmd_series(const std::string& source, std::ostream& out);
-
-/// `lmre analyze --json <dsl>`: the same analysis as cmd_analyze, emitted
-/// as an enveloped JSON document (single-nest sources only).  Lint errors
-/// produce a document whose result carries a "diagnostics" array.
-ExitCode cmd_analyze_json(const std::string& source, std::ostream& out,
-                          const std::string& file = "<input>");
-
-/// `lmre analyze --symbolic <dsl>`: closed-form analysis (src/symbolic) --
-/// per-array distinct/reuse/window formulas in the symbolic bounds N1..Nn,
-/// evaluated once at the nest's own trip counts.  Never runs the trace
-/// oracle, so the cost is independent of the bounds.  Exits kDiagnostics
-/// when no array admits a closed form (LMRE-E017); partial coverage is
-/// reported with per-quantity notes and exits kSuccess.
-ExitCode cmd_symbolic(const std::string& source, std::ostream& out,
-                      const std::string& file = "<input>");
-
-/// `lmre analyze --symbolic --json <dsl>`: the symbolic result as an
-/// enveloped JSON document whose result carries a "symbolic" object
-/// (bounds, per-array formulas with rendered strings + polynomial terms,
-/// totals, diagnostics) -- the same document the runtime embeds for
-/// batch/serve "symbolic" requests.
-ExitCode cmd_symbolic_json(const std::string& source, std::ostream& out,
-                           const std::string& file = "<input>");
-
-/// `lmre optimize --json <dsl>`: machine-readable optimization result.
-/// The document always names the chosen objective ("objective",
-/// "objective_value"); miss-ratio runs add "objective_capacity" and the
-/// before/after miss ratios.
-ExitCode cmd_optimize_json(const std::string& source, std::ostream& out,
-                           int threads = 1, const std::string& file = "<input>",
-                           const std::string& objective = {});
-
-/// Options for `lmre verify`, parsed by run_cli.
-struct VerifyCliOptions {
-  bool json = false;  ///< emit the certificate in the JSON envelope
-  /// --plan=SPEC: the transform plan to certify, in the verify grammar
-  /// ('|'-separated unimodular steps, optional trailing "tile:4,4").
-  /// Empty (or bare --plan) = audit the plan `lmre optimize` emits.
-  std::string plan;
-  int threads = 1;  ///< audit-mode optimizer workers
-};
-
-/// `lmre verify [--json] [--plan[=SPEC]] <file|->`: runs the
-/// dependence-preservation prover (src/verify) over the plan, renders its
-/// diagnostics (LMRE-E013/E019/W014/W020/N016/N021/N022), and re-validates
-/// the certificate with the independent checker.  kSuccess when the plan is
-/// certified, kDiagnostics when it is refuted or unproven, kFailure when
-/// the checker rejects the prover's own certificate (never expected),
-/// kUsage on a malformed plan spec.
-ExitCode cmd_verify(const std::string& source, const VerifyCliOptions& opts,
-                    std::ostream& out, const std::string& file = "<input>");
-
-/// Options for `lmre codegen`, parsed by run_cli.
-struct CodegenCliOptions {
-  bool json = false;  ///< emit the codegen document in the JSON envelope
-  bool run = false;   ///< --run: compile with cc and execute the self-check
-  /// --plan[=SPEC]: execution order to emit.  "" = the identity order,
-  /// "auto" (bare --plan) = the plan `lmre optimize` emits, anything else
-  /// = a verify-grammar spec.  Non-identity plans must certify.
-  std::string plan;
-  std::string cc;         ///< --cc=PATH: C compiler override ("" = cc)
-  std::string emit_file;  ///< --emit=FILE: write the C unit here
-  int threads = 1;        ///< auto-plan optimizer workers
-};
-
-/// `lmre codegen [--json] [--plan[=SPEC]] [--run] [--cc=PATH]
-/// [--emit=FILE] <file|->`: lowers the nest to one standalone C unit
-/// (src/codegen) holding the original nest over full arrays AND the
-/// plan's execution order against window-sized modulo buffers, plus a
-/// self-check that compares them element-for-element and validates the
-/// engine's window/traffic predictions.  --run compiles the unit with the
-/// system C compiler and executes that check.  kSuccess when emission
-/// (and the run, if requested) succeeded, kFailure on miscompare or
-/// compile failure, kUsage on a malformed plan spec, kDiagnostics when
-/// the plan cannot be certified.
-ExitCode cmd_codegen(const std::string& source, const CodegenCliOptions& opts,
-                     std::ostream& out, std::ostream& err,
-                     const std::string& file = "<input>");
-
-/// Options for `lmre mrc`, parsed by run_cli.
-struct MrcCliOptions {
-  bool json = false;  ///< emit the session's "mrc" payload in the envelope
-  /// --plan[=SPEC]: execution order to measure.  "" = the identity order,
-  /// "auto" (bare --plan) = the plan `lmre optimize` emits, anything else
-  /// = a verify-grammar spec (unimodular steps only; tiling is rejected).
-  std::string plan;
-  double sample_rate = 1.0;     ///< --sample-rate=R in (0, 1]; 1 = exact
-  std::vector<Int> capacities;  ///< --capacities=LIST; empty = auto sweep
-  int threads = 1;              ///< auto-plan optimizer workers
-};
-
-/// `lmre mrc [--json] [--plan[=SPEC]] [--sample-rate=R] [--capacities=LIST]
-/// <file|->`: reuse-distance histogram and miss-ratio curve (src/mrc) for
-/// the nest under the given execution order -- exact, or SHARDS-sampled at
-/// `--sample-rate` with a declared error bound.  Text mode renders the
-/// curve as a table; --json routes through an AnalysisSession so the
-/// payload is byte-identical to what batch/serve embed for the same
-/// request.  kUsage on a malformed plan/rate/capacity, kFailure when the
-/// trace volume exceeds the verify limit (JSON mode).
-ExitCode cmd_mrc(const std::string& source, const MrcCliOptions& opts,
-                 std::ostream& out, const std::string& file = "<input>");
 
 /// `lmre figure2`: the paper's main table.
 ExitCode cmd_figure2(std::ostream& out, int threads = 1);
@@ -229,7 +134,7 @@ struct RequestCliOptions {
   std::string plan;         ///< --plan=SPEC (verify: "" = audit; codegen/
                             ///< mrc: "" = identity, "auto" = optimizer's)
   std::string objective;    ///< --objective=SPEC (optimize; "" = omit)
-  double sample_rate = 0;   ///< --sample-rate=R (mrc; 0 = omit)
+  std::optional<double> sample_rate;  ///< --sample-rate=R (mrc; unset = omit)
   std::vector<Int> capacities;  ///< --capacities=LIST (mrc; empty = omit)
   double deadline_ms = 0;   ///< --deadline=MS (0 = none)
   std::string id;           ///< --id=S (defaults to the file name)
