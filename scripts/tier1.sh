@@ -112,6 +112,8 @@ grep -q '"serve.completed": 3' "$BATCH_CACHE/serve_metrics.json" \
   || { echo "FAIL: serve metrics snapshot missing request counts"; exit 1; }
 grep -q '"serve.latency_ms"' "$BATCH_CACHE/serve_metrics.json" \
   || { echo "FAIL: serve metrics snapshot lacks the latency histogram"; exit 1; }
+grep -q '"serve.conns_opened": 3' "$BATCH_CACHE/serve_metrics.json" \
+  || { echo "FAIL: Unix metrics snapshot missing the connection gauges"; exit 1; }
 # Overload probe: one worker, queue depth 1, three back-to-back identical
 # requests over stdio with coalescing disabled.  The single worker holds
 # the first (heavy) request while the later lines arrive, so the bounded
@@ -164,7 +166,7 @@ cmp "$BATCH_CACHE/tcp_cold.json" "$BATCH_CACHE/serve_cold.json" \
 kill -TERM "$TCP_PID"
 wait "$TCP_PID" \
   || { echo "FAIL: serve --tcp did not exit 0 on SIGTERM"; exit 1; }
-grep -q '"serve.tcp_conns_opened": 1' "$BATCH_CACHE/serve_tcp_metrics.json" \
+grep -q '"serve.conns_opened": 1' "$BATCH_CACHE/serve_tcp_metrics.json" \
   || { echo "FAIL: TCP metrics snapshot missing the connection gauges"; exit 1; }
 grep -q '"cache.shards": 4' "$BATCH_CACHE/serve_tcp_metrics.json" \
   || { echo "FAIL: metrics snapshot missing the cache shard config"; exit 1; }

@@ -214,8 +214,8 @@ void check_kernel_dimension(const CheckContext& ctx, DiagnosticEngine& out) {
 }
 
 // LMRE-W008 / LMRE-E009: pre-flight the iteration-volume product with
-// checked_mul so exact analyses warn (or fail with a diagnosis) up front
-// instead of throwing OverflowError mid-run.
+// checked_mul so a huge nest is flagged as estimate-only (or fails with a
+// diagnosis) up front instead of throwing OverflowError mid-run.
 void check_iteration_volume(const CheckContext& ctx, DiagnosticEngine& out) {
   const LoopNest& nest = ctx.nest;
   Int volume = 1;
@@ -237,7 +237,8 @@ void check_iteration_volume(const CheckContext& ctx, DiagnosticEngine& out) {
     msg << "iteration volume " << with_commas(volume)
         << " exceeds the exact-analysis threshold "
         << with_commas(ctx.opts.volume_warn_threshold)
-        << "; the oracle walks every iteration, expect long analyze times";
+        << "; analyses skip the exact trace above the verify limit and"
+           " report exact_skipped";
     out.warning("LMRE-W008", msg.str(), loop_span(ctx, 0));
   }
   // Declared sizes feed default_memory(); pre-flight them too.

@@ -30,7 +30,8 @@
 //   LMRE-N007 estimator-extension multi-reference kernel-reuse case the
 //                                 paper omits; lmre's documented extension
 //   LMRE-W008 iteration-volume    iteration count exceeds the exact-
-//                                 analysis threshold (simulation is slow)
+//                                 analysis threshold (the exact trace is
+//                                 skipped; results rest on the estimate)
 //   LMRE-E009 iteration-overflow  product of trip counts overflows Int64;
 //                                 exact analyses would throw OverflowError
 //   LMRE-W010 unused-array        declared but never referenced
@@ -87,7 +88,8 @@ namespace lmre {
 
 struct LintOptions {
   /// LMRE-W008 threshold: warn when the iteration count exceeds this
-  /// (the exact oracle walks every iteration, so this bounds analyze time).
+  /// (analyses skip the exact trace well before it, so such a nest only
+  /// ever gets the estimate).
   Int volume_warn_threshold = 100'000'000;
 
   /// Transform plan to re-certify against the nest's own dependences

@@ -74,7 +74,7 @@ namespace {
 
 // Version tag mixed into every content hash: bump when the payload schema
 // changes so stale disk caches invalidate themselves.
-constexpr const char* kHashSalt = "lmre-result-v5";
+constexpr const char* kHashSalt = "lmre-result-v6";
 
 // File-name-free diagnostic record (the cache key ignores file names, so
 // the payload must too; callers attach the name when rendering).

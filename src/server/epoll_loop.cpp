@@ -23,11 +23,11 @@ void set_nonblocking(int fd) {
 
 }  // namespace
 
-TcpSink::~TcpSink() {
+SocketSink::~SocketSink() {
   if (!closed_ && fd_ >= 0) ::close(fd_);
 }
 
-void TcpSink::write_line(const std::string& line) {
+void SocketSink::write_line(const std::string& line) {
   EventLoop* loop = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -126,6 +126,10 @@ void EventLoop::step(int timeout_ms) {
       continue;
     }
     if (re & (POLLIN | POLLHUP)) read_ready(conn);
+    // Hangup: nothing more can be delivered, and the level-triggered
+    // POLLHUP would spin the loop until the connection's in-flight jobs
+    // finish.  Lines read just above stay admitted.
+    if (re & POLLHUP) conn.dead = true;
     if (!conn.dead) flush(conn);
   }
   reap();
@@ -138,7 +142,7 @@ void EventLoop::accept_ready() {
     set_nonblocking(fd);
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
-    conn->sink = std::make_shared<TcpSink>(this, fd);
+    conn->sink = std::make_shared<SocketSink>(this, fd);
     conns_.push_back(std::move(conn));
     ++conns_opened_;
   }
@@ -177,7 +181,7 @@ void EventLoop::read_ready(Conn& conn) {
 }
 
 void EventLoop::flush(Conn& conn) {
-  TcpSink& sink = *conn.sink;
+  SocketSink& sink = *conn.sink;
   std::lock_guard<std::mutex> lock(sink.mu_);
   while (sink.out_pos_ < sink.out_.size()) {
     ssize_t n = ::send(conn.fd, sink.out_.data() + sink.out_pos_,

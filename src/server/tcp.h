@@ -1,9 +1,11 @@
 #pragma once
 
-// Small TCP socket helpers shared by the serve transport
-// (server/epoll_loop), the CLI client (`lmre request --tcp=...`), and the
-// load bench.  Everything here is plain blocking/bound-socket plumbing;
-// the event loop flips accepted fds non-blocking itself.
+// Socket helpers shared by the serve transports (server/epoll_loop), the
+// CLI client (`lmre request`), and the load bench: listen and connect for
+// TCP and for Unix-domain stream sockets.  This file is the only place
+// that builds socket addresses.  Everything here is plain blocking
+// bound-socket plumbing; the event loop flips accepted fds non-blocking
+// itself.
 
 #include <optional>
 #include <string>
@@ -31,5 +33,14 @@ int tcp_listen(const std::string& host, int port, int* bound_port,
 /// Connects a blocking TCP socket to host:port; -1 on failure.
 int tcp_connect(const std::string& host, int port,
                 std::string* error = nullptr);
+
+/// Creates a listening Unix-domain stream socket bound to `path`,
+/// replacing a stale socket file a dead server left behind.  Returns the
+/// fd, or -1 with the reason in *error when given (a path too long for
+/// sun_path, or a failed bind/listen).
+int unix_listen(const std::string& path, std::string* error = nullptr);
+
+/// Connects a blocking Unix-domain stream socket to `path`; -1 on failure.
+int unix_connect(const std::string& path, std::string* error = nullptr);
 
 }  // namespace lmre

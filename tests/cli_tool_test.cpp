@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "ir/parser.h"
 #include "server/wire.h"
@@ -212,6 +213,26 @@ TEST(CliDispatcher, UnreadableFile) {
   EXPECT_EQ(run_cli({"analyze", "/nonexistent/nest.loop"}, out, err),
             ExitCode::kFailure);
   EXPECT_NE(err.str().find("cannot open"), std::string::npos);
+}
+
+TEST(CliDispatcher, UnknownOptionExitsUsage) {
+  std::string file = ::testing::TempDir() + "unknown_option.loop";
+  std::ofstream(file) << kExample8;
+  // A flag the verb does not take is refused wherever it stands; it is
+  // never read as the input file nor silently dropped.
+  const std::vector<std::vector<std::string>> cases = {
+      {"analyze", file, "--bogus"},
+      {"analyze", "--plan=1", file},
+      {"optimize", file, "--sample-rate=0.5"},
+      {"lint", file, "--run"},
+      {"serve", "--bogus", "unused.sock"},
+  };
+  for (const auto& args : cases) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(args, out, err), ExitCode::kUsage) << args[0];
+    EXPECT_NE(err.str().find("unknown option"), std::string::npos)
+        << err.str();
+  }
 }
 
 const char* kOutOfBounds = "array A[4];\nfor i = 1 to 10\n  use A[i];\n";

@@ -218,6 +218,10 @@ TEST(LintIterationVolume, ThresholdExceededWarns) {
   const Diagnostic* d = find_id(res, "LMRE-W008");
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->severity, Severity::kWarning);
+  // The analyses skip the trace rather than walk it; the text says so.
+  EXPECT_NE(d->message.find("skip the exact trace"), std::string::npos)
+      << d->message;
+  EXPECT_NE(d->message.find("exact_skipped"), std::string::npos);
   EXPECT_TRUE(res.clean());
 }
 

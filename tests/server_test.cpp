@@ -3,16 +3,19 @@
 // over all three transports (stdio, Unix socket, TCP) -- byte-identity
 // with direct session runs, load-shedding at a full queue, single-flight
 // coalescing of identical requests, deadline expiry, graceful drain,
-// dead-client teardown, and concurrent clients sharing one warm cache.
+// dead-client teardown, concurrent clients sharing one warm cache, and
+// clients that never read or never end a line.  The socket cases run one
+// body over both families.
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
-#include <sys/un.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -515,198 +518,7 @@ TEST(Server, ExpiredDeadlineReportsTimeout) {
   EXPECT_EQ(wire_status(*heavy), 0);
 }
 
-// ---- socket transport ------------------------------------------------------
-
-std::string test_socket_path(const char* name) {
-  // sun_path is ~108 bytes; TempDir can be long, so fall back to /tmp.
-  std::string path = ::testing::TempDir() + name;
-  if (path.size() >= 100) path = std::string("/tmp/") + name;
-  ::unlink(path.c_str());
-  return path;
-}
-
-// One-shot client: connect, send `line`, read one response line.
-std::string roundtrip(const std::string& path, const std::string& line) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return "";
-  }
-  std::string framed = line + '\n';
-  size_t sent = 0;
-  while (sent < framed.size()) {
-    ssize_t n = ::send(fd, framed.data() + sent, framed.size() - sent, 0);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
-  }
-  ::shutdown(fd, SHUT_WR);  // one request per connection
-  std::string response;
-  char chunk[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
-    response.append(chunk, static_cast<size_t>(n));
-    size_t nl = response.find('\n');
-    if (nl != std::string::npos) {
-      response.resize(nl);
-      break;
-    }
-  }
-  ::close(fd);
-  return response;
-}
-
-TEST(Server, SocketConcurrentClientsShareOneCacheAndDrainCleanly) {
-  std::string path = test_socket_path("lmre_server_test.sock");
-  ServerOptions opts;
-  opts.workers = 4;
-  AnalysisServer server(opts);
-  std::thread serving([&] {
-    EXPECT_EQ(server.serve_socket(path), ExitCode::kSuccess);
-  });
-
-  // Warm the cache with one sequential request (retrying around server
-  // startup) so the concurrent phase has a deterministic hit pattern.
-  std::string warm;
-  for (int attempt = 0; attempt < 200 && warm.empty(); ++attempt) {
-    warm = roundtrip(path, request_line("\"warm\"", kFirSource));
-    if (warm.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_FALSE(warm.empty()) << "server never came up on " << path;
-
-  constexpr int kClients = 6;
-  std::vector<std::string> responses(kClients);
-  std::vector<std::thread> clients;
-  for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&, i] {
-      responses[i] =
-          roundtrip(path, request_line(std::to_string(i), kFirSource));
-    });
-  }
-  for (auto& t : clients) t.join();
-  server.request_stop();
-  serving.join();
-
-  // Every client got the byte-identical payload; one compute, rest hits.
-  std::string warm_payload;
-  {
-    auto doc = response_for({warm}, "\"warm\"");
-    ASSERT_TRUE(doc.has_value()) << warm;
-    const WireValue* payload = doc->find("result")->find("result");
-    ASSERT_NE(payload, nullptr);
-    warm_payload = payload->raw;
-  }
-  for (int i = 0; i < kClients; ++i) {
-    ASSERT_FALSE(responses[i].empty()) << "client " << i << " got no response";
-    auto doc = response_for({responses[i]}, std::to_string(i));
-    ASSERT_TRUE(doc.has_value()) << responses[i];
-    EXPECT_EQ(wire_status(*doc), 0);
-    const WireValue* payload = doc->find("result")->find("result");
-    ASSERT_NE(payload, nullptr);
-    EXPECT_EQ(payload->raw, warm_payload);
-  }
-  // One cold compute for the warm-up.  Each concurrent client was either
-  // a warm cache hit or rode an open flight (coalesced); both paths
-  // splice the same cached bytes.
-  EXPECT_EQ(server.cache().misses(), 1);
-  EXPECT_EQ(server.cache().hits() + server.metrics().counter("serve.coalesced"),
-            kClients);
-  EXPECT_EQ(server.metrics().counter("serve.completed"), kClients + 1);
-  ::unlink(path.c_str());
-}
-
-TEST(Server, SocketStopWithoutClientsExitsCleanly) {
-  std::string path = test_socket_path("lmre_server_idle.sock");
-  AnalysisServer server(ServerOptions{});
-  std::thread serving([&] {
-    EXPECT_EQ(server.serve_socket(path), ExitCode::kSuccess);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  server.request_stop();
-  serving.join();  // poll loop notices within ~100ms
-  EXPECT_TRUE(server.stopped());
-}
-
-// Connect-only unix client (the disconnect tests need a raw fd).
-int unix_connect(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-void send_all(int fd, const std::string& line) {
-  std::string framed = line + '\n';
-  size_t sent = 0;
-  while (sent < framed.size()) {
-    ssize_t n = ::send(fd, framed.data() + sent, framed.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
-  }
-}
-
-TEST(Server, SocketClientKilledMidFlightDoesNotLoseOthersOrLeakReaders) {
-  std::string path = test_socket_path("lmre_server_kill.sock");
-  ServerOptions opts;
-  opts.workers = 1;
-  AnalysisServer server(opts);
-  std::thread serving([&] {
-    EXPECT_EQ(server.serve_socket(path), ExitCode::kSuccess);
-  });
-
-  // Wait for the listener (retry a throwaway round trip).
-  std::string up;
-  for (int attempt = 0; attempt < 200 && up.empty(); ++attempt) {
-    up = roundtrip(path, request_line("\"up\"", kFirSource, "lint"));
-    if (up.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_FALSE(up.empty()) << "server never came up on " << path;
-
-  // Client A sends a heavy request and dies without reading the answer.
-  int a = unix_connect(path);
-  ASSERT_GE(a, 0);
-  send_all(a, request_line("\"doomed\"", kMatmultSource));
-  ::close(a);
-
-  // The accept loop must reap A's reader thread while still serving --
-  // not at shutdown.  conn_closed counts joins inside the loop.
-  for (int i = 0; i < 500 && server.metrics().counter("serve.conn_closed") < 2;
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_GE(server.metrics().counter("serve.conn_closed"), 2)
-      << "finished readers were not reaped during serving";
-
-  // Client B's request, admitted while A's is in flight or computed
-  // after it, must come back complete.
-  std::string b = roundtrip(path, request_line("\"b\"", kFirSource, "analyze"));
-  ASSERT_FALSE(b.empty()) << "surviving client lost its response";
-  auto doc = response_for({b}, "\"b\"");
-  ASSERT_TRUE(doc.has_value()) << b;
-  EXPECT_EQ(wire_status(*doc), 0);
-
-  server.request_stop();
-  serving.join();
-  // Every accepted connection's reader was joined exactly once, and every
-  // admitted request completed (A's response was dropped at its dead
-  // socket, after counting).
-  EXPECT_EQ(server.metrics().counter("serve.conn_closed"),
-            server.metrics().counter("serve.conn_opened"));
-  EXPECT_EQ(server.metrics().counter("serve.completed"), 3);
-  ::unlink(path.c_str());
-}
-
-// ---- tcp transport ---------------------------------------------------------
+// ---- socket helpers --------------------------------------------------------
 
 TEST(Tcp, ParseHostPort) {
   std::string error;
@@ -731,11 +543,126 @@ TEST(Tcp, ParseHostPort) {
   EXPECT_FALSE(error.empty());
 }
 
-// One-shot TCP client: connect, send `line`, read one response line.
-std::string tcp_roundtrip(int port, const std::string& line) {
-  int fd = tcp_connect("127.0.0.1", port);
+// ---- socket transports ----------------------------------------------------
+//
+// The Unix and TCP listeners share one event loop and one drain sequence,
+// so each behaviour below is one body run over both families.
+
+enum class Family { kUnix, kTcp };
+
+// Closes a client fd on scope exit.
+struct ClientFd {
+  explicit ClientFd(int f) : fd(f) {}
+  ~ClientFd() {
+    if (fd >= 0) ::close(fd);
+  }
+  ClientFd(const ClientFd&) = delete;
+  ClientFd& operator=(const ClientFd&) = delete;
+  int fd;
+};
+
+// An AnalysisServer serving one socket family on its own thread.  The
+// destructor requests the stop and joins; stop_within() bounds the wait.
+class ServedSocket {
+ public:
+  explicit ServedSocket(Family family, ServerOptions opts = {})
+      : family_(family), server_(std::move(opts)) {
+    if (family_ == Family::kUnix) {
+      // sun_path is ~108 bytes; TempDir can be long, so fall back to /tmp.
+      // The test name keeps paths apart when tests run in parallel.
+      path_ = ::testing::TempDir() + "lmre_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".sock";
+      if (path_.size() >= 100) {
+        path_ = "/tmp/" + path_.substr(path_.rfind('/') + 1);
+      }
+      ::unlink(path_.c_str());
+    }
+    serving_ = std::thread([this] {
+      ExitCode rc = family_ == Family::kUnix
+                        ? server_.serve_socket(path_)
+                        : server_.serve_tcp("127.0.0.1", 0);
+      EXPECT_EQ(rc, ExitCode::kSuccess);
+      returned_.store(true);
+    });
+    for (int i = 0; i < 500 && !bound(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+
+  ~ServedSocket() {
+    server_.request_stop();
+    serving_.join();
+  }
+
+  ServedSocket(const ServedSocket&) = delete;
+  ServedSocket& operator=(const ServedSocket&) = delete;
+
+  bool bound() const {
+    return family_ == Family::kUnix ? ::access(path_.c_str(), F_OK) == 0
+                                    : server_.tcp_port() > 0;
+  }
+
+  // A connected blocking client fd, or -1.  Retries across the short
+  // window between a Unix socket's bind and its listen.
+  int connect() const {
+    for (int i = 0; i < 500; ++i) {
+      int fd = family_ == Family::kUnix
+                   ? unix_connect(path_)
+                   : tcp_connect("127.0.0.1", server_.tcp_port());
+      if (fd >= 0) return fd;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return -1;
+  }
+
+  // request_stop(), then true once serving returned within `patience`.
+  bool stop_within(std::chrono::milliseconds patience) {
+    server_.request_stop();
+    auto until = std::chrono::steady_clock::now() + patience;
+    while (!returned_.load() && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return returned_.load();
+  }
+
+  void stop() { EXPECT_TRUE(stop_within(std::chrono::seconds(10))); }
+
+  AnalysisServer& server() { return server_; }
+  double gauge(const std::string& name) {
+    return server_.metrics().gauge_value(name);
+  }
+
+ private:
+  Family family_;
+  std::string path_;
+  AnalysisServer server_;
+  std::atomic<bool> returned_{false};
+  std::thread serving_;
+};
+
+void send_all(int fd, const std::string& bytes) {
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                       MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
+}
+
+// Bounds every blocking recv on `fd`, so a server that never answers
+// fails the test instead of hanging it.
+void set_recv_timeout(int fd, int seconds) {
+  timeval tv{seconds, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+}
+
+// One-shot client over a connected fd (closed here): send `line`,
+// half-close, read one response line; "" when fd < 0 or nothing came.
+std::string roundtrip(int fd, const std::string& line) {
   if (fd < 0) return "";
-  send_all(fd, line);
+  send_all(fd, line + '\n');
   ::shutdown(fd, SHUT_WR);  // half-close: the response must still arrive
   std::string response;
   char chunk[4096];
@@ -752,133 +679,244 @@ std::string tcp_roundtrip(int port, const std::string& line) {
   return response;
 }
 
-// Binds port 0 and waits for the kernel-assigned port to surface.
-int wait_for_tcp_port(AnalysisServer& server) {
-  for (int i = 0; i < 500 && server.tcp_port() < 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return server.tcp_port();
-}
-
-TEST(Server, TcpResponseIsByteIdenticalToSessionPayload) {
+void response_is_byte_identical_to_session_payload(Family family) {
   AnalysisSession direct;
   std::string expected =
       direct.run({kFirSource, "x.loop", AnalysisRequest::Kind::kFull}).payload;
 
   ServerOptions opts;
   opts.workers = 2;
-  AnalysisServer server(opts);
-  std::thread serving([&] {
-    EXPECT_EQ(server.serve_tcp("127.0.0.1", 0), ExitCode::kSuccess);
-  });
-  int port = wait_for_tcp_port(server);
-  ASSERT_GT(port, 0) << "serve_tcp never bound";
-
-  std::string response = tcp_roundtrip(port, request_line("1", kFirSource));
+  ServedSocket served(family, opts);
+  std::string response =
+      roundtrip(served.connect(), request_line("1", kFirSource));
   ASSERT_FALSE(response.empty());
   auto doc = response_for({response}, "1");
   ASSERT_TRUE(doc.has_value()) << response;
   EXPECT_EQ(wire_status(*doc), 0);
   const WireValue* payload = doc->find("result")->find("result");
   ASSERT_NE(payload, nullptr);
-  EXPECT_EQ(payload->raw, expected);  // the contract holds over TCP too
+  EXPECT_EQ(payload->raw, expected);  // the contract holds on every socket
 
-  server.request_stop();
-  serving.join();
-  EXPECT_EQ(server.metrics().counter("serve.completed"), 1);
-  EXPECT_EQ(server.metrics().gauge_value("serve.tcp_conns_opened"), 1.0);
+  served.stop();
+  EXPECT_EQ(served.server().metrics().counter("serve.completed"), 1);
+  EXPECT_EQ(served.gauge("serve.conns_opened"), 1.0);
 }
 
-TEST(Server, TcpConcurrentClientsAllAnswered) {
+TEST(Server, SocketResponseIsByteIdenticalToSessionPayload) {
+  response_is_byte_identical_to_session_payload(Family::kUnix);
+}
+TEST(Server, TcpResponseIsByteIdenticalToSessionPayload) {
+  response_is_byte_identical_to_session_payload(Family::kTcp);
+}
+
+void concurrent_clients_share_one_cache(Family family) {
   ServerOptions opts;
   opts.workers = 4;
-  AnalysisServer server(opts);
-  std::thread serving([&] {
-    EXPECT_EQ(server.serve_tcp("127.0.0.1", 0), ExitCode::kSuccess);
-  });
-  int port = wait_for_tcp_port(server);
-  ASSERT_GT(port, 0);
+  ServedSocket served(family, opts);
 
-  constexpr int kClients = 8;
+  // Warm the cache with one sequential request so the concurrent phase
+  // has a deterministic hit pattern.
+  std::string warm =
+      roundtrip(served.connect(), request_line("\"warm\"", kFirSource));
+  ASSERT_FALSE(warm.empty()) << "server never came up";
+
+  constexpr int kClients = 6;
   std::vector<std::string> responses(kClients);
   std::vector<std::thread> clients;
   for (int i = 0; i < kClients; ++i) {
     clients.emplace_back([&, i] {
-      responses[i] = tcp_roundtrip(
-          port, request_line(std::to_string(i),
-                             i % 2 ? kFirSource : kMatmultSource, "analyze"));
+      responses[i] = roundtrip(served.connect(),
+                               request_line(std::to_string(i), kFirSource));
     });
   }
   for (auto& t : clients) t.join();
-  server.request_stop();
-  serving.join();
+  served.stop();
 
+  // Every client got the byte-identical payload; one compute, rest hits.
+  std::string warm_payload;
+  {
+    auto doc = response_for({warm}, "\"warm\"");
+    ASSERT_TRUE(doc.has_value()) << warm;
+    const WireValue* payload = doc->find("result")->find("result");
+    ASSERT_NE(payload, nullptr);
+    warm_payload = payload->raw;
+  }
   for (int i = 0; i < kClients; ++i) {
     ASSERT_FALSE(responses[i].empty()) << "client " << i << " got no response";
     auto doc = response_for({responses[i]}, std::to_string(i));
     ASSERT_TRUE(doc.has_value()) << responses[i];
     EXPECT_EQ(wire_status(*doc), 0);
+    const WireValue* payload = doc->find("result")->find("result");
+    ASSERT_NE(payload, nullptr);
+    EXPECT_EQ(payload->raw, warm_payload);
   }
-  EXPECT_EQ(server.metrics().counter("serve.completed"), kClients);
+  // One cold compute for the warm-up.  Each concurrent client was either
+  // a warm cache hit or rode an open flight (coalesced); both paths
+  // splice the same cached bytes.
+  AnalysisServer& server = served.server();
+  EXPECT_EQ(server.cache().misses(), 1);
+  EXPECT_EQ(server.cache().hits() + server.metrics().counter("serve.coalesced"),
+            kClients);
+  EXPECT_EQ(server.metrics().counter("serve.completed"), kClients + 1);
+  EXPECT_EQ(served.gauge("serve.conns_opened"), kClients + 1.0);
 }
 
-TEST(Server, TcpClientVanishingMidFlightDoesNotLoseOthers) {
+TEST(Server, SocketConcurrentClientsShareOneCacheAndDrainCleanly) {
+  concurrent_clients_share_one_cache(Family::kUnix);
+}
+TEST(Server, TcpConcurrentClientsAllAnswered) {
+  concurrent_clients_share_one_cache(Family::kTcp);
+}
+
+void stop_without_clients_exits_cleanly(Family family) {
+  ServedSocket served(family);
+  ASSERT_TRUE(served.bound());
+  served.stop();  // the loop notices within its 100 ms poll
+  EXPECT_TRUE(served.server().stopped());
+  EXPECT_EQ(served.gauge("serve.conns_opened"), 0.0);
+}
+
+TEST(Server, SocketStopWithoutClientsExitsCleanly) {
+  stop_without_clients_exits_cleanly(Family::kUnix);
+}
+TEST(Server, TcpStopWithoutClientsExitsCleanly) {
+  stop_without_clients_exits_cleanly(Family::kTcp);
+}
+
+void vanishing_client_loses_no_one_else(Family family) {
   ServerOptions opts;
   opts.workers = 1;
-  AnalysisServer server(opts);
-  std::thread serving([&] {
-    EXPECT_EQ(server.serve_tcp("127.0.0.1", 0), ExitCode::kSuccess);
-  });
-  int port = wait_for_tcp_port(server);
-  ASSERT_GT(port, 0);
+  ServedSocket served(family, opts);
 
   // Client A fires a heavy request and slams the connection shut without
   // reading; its response has nowhere to go.
-  int a = tcp_connect("127.0.0.1", port);
+  int a = served.connect();
   ASSERT_GE(a, 0);
-  send_all(a, request_line("\"doomed\"", kMatmultSource));
+  send_all(a, request_line("\"doomed\"", kMatmultSource) + '\n');
   ::close(a);
 
   // Client B must be completely unaffected.
-  std::string b = tcp_roundtrip(port, request_line("\"b\"", kFirSource));
+  std::string b = roundtrip(served.connect(),
+                            request_line("\"b\"", kFirSource, "analyze"));
   ASSERT_FALSE(b.empty()) << "surviving client lost its response";
   auto doc = response_for({b}, "\"b\"");
   ASSERT_TRUE(doc.has_value()) << b;
   EXPECT_EQ(wire_status(*doc), 0);
 
-  server.request_stop();
-  serving.join();
+  served.stop();
   // Both requests were admitted and completed; A's bytes were dropped at
-  // its dead socket without disturbing the loop or a worker.
-  EXPECT_EQ(server.metrics().counter("serve.completed"), 2);
-  EXPECT_EQ(server.metrics().gauge_value("serve.tcp_conns_opened"), 2.0);
-  EXPECT_EQ(server.metrics().gauge_value("serve.tcp_conns_closed"), 2.0);
+  // its dead socket without disturbing the loop or a worker, and both
+  // connections were reaped while serving -- none leaked to shutdown.
+  EXPECT_EQ(served.server().metrics().counter("serve.completed"), 2);
+  EXPECT_EQ(served.gauge("serve.conns_opened"), 2.0);
+  EXPECT_EQ(served.gauge("serve.conns_closed"),
+            served.gauge("serve.conns_opened"));
 }
 
-TEST(Server, TcpStopWithoutClientsExitsCleanly) {
+TEST(Server, SocketClientVanishingMidFlightDoesNotLoseOthers) {
+  vanishing_client_loses_no_one_else(Family::kUnix);
+}
+TEST(Server, TcpClientVanishingMidFlightDoesNotLoseOthers) {
+  vanishing_client_loses_no_one_else(Family::kTcp);
+}
+
+void non_reading_client_stalls_no_one(Family family) {
+  ServerOptions opts;
+  opts.workers = 1;
+  ServedSocket served(family, opts);
+
+  // The flooder asks for 200 codegen payloads (~12 KiB of C each, 2.5 MB
+  // in all) and never reads.  Declared after `served`: it closes before
+  // the server is joined.
+  ClientFd flood(served.connect());
+  ASSERT_GE(flood.fd, 0);
+  std::string burst;
+  for (int i = 0; i < 200; ++i) {
+    burst += request_line(std::to_string(i), kMatmultSource, "codegen") + '\n';
+  }
+  send_all(flood.fd, burst);
+
+  // Another client is still answered...
+  int other = served.connect();
+  ASSERT_GE(other, 0);
+  set_recv_timeout(other, 10);
+  std::string answer =
+      roundtrip(other, request_line("\"other\"", kFirSource, "lint"));
+  ASSERT_FALSE(answer.empty()) << "a non-reading client stalled the server";
+  auto doc = response_for({answer}, "\"other\"");
+  ASSERT_TRUE(doc.has_value()) << answer;
+  EXPECT_EQ(wire_status(*doc), 0);
+
+  // ...and shutdown does not wait on the flooder to read.
+  EXPECT_TRUE(served.stop_within(std::chrono::seconds(10)))
+      << "request_stop() did not return while a client was not reading";
+  EXPECT_EQ(served.server().metrics().counter("serve.completed"), 201);
+  // A Unix socket buffers ~200 KiB per connection, so the flood overruns
+  // it; loopback TCP autotunes its buffers to several MiB and may not.
+  if (family == Family::kUnix) {
+    EXPECT_GT(served.gauge("serve.partial_writes"), 0.0);
+  }
+}
+
+TEST(Server, SocketNonReadingClientStallsNoOneElse) {
+  non_reading_client_stalls_no_one(Family::kUnix);
+}
+TEST(Server, TcpNonReadingClientStallsNoOneElse) {
+  non_reading_client_stalls_no_one(Family::kTcp);
+}
+
+void overlong_line_drops_only_its_connection(Family family) {
+  ServedSocket served(family);
+
+  // More than the 16 MiB line cap, and no newline anywhere.
+  int hog = served.connect();
+  ASSERT_GE(hog, 0);
+  set_recv_timeout(hog, 10);
+  send_all(hog, std::string((16u << 20) + 4096, 'x'));
+  char byte = 0;
+  ssize_t n = ::recv(hog, &byte, 1, 0);
+  const bool timed_out = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  EXPECT_TRUE(n == 0 || (n < 0 && !timed_out))
+      << "the server kept a connection past the line cap";
+  ::close(hog);
+
+  std::string answer = roundtrip(
+      served.connect(), request_line("\"other\"", kFirSource, "lint"));
+  auto doc = response_for({answer}, "\"other\"");
+  ASSERT_TRUE(doc.has_value()) << answer;
+  EXPECT_EQ(wire_status(*doc), 0);
+
+  served.stop();
+  EXPECT_EQ(served.server().metrics().counter("serve.requests"), 1);
+  EXPECT_EQ(served.gauge("serve.conns_opened"), 2.0);
+  EXPECT_EQ(served.gauge("serve.conns_closed"), 2.0);
+}
+
+TEST(Server, SocketOverlongLineDropsOnlyThatConnection) {
+  overlong_line_drops_only_its_connection(Family::kUnix);
+}
+TEST(Server, TcpOverlongLineDropsOnlyThatConnection) {
+  overlong_line_drops_only_its_connection(Family::kTcp);
+}
+
+TEST(Server, SocketBindFailureReportsError) {
+  std::string too_long(200, 'x');
+  std::string error;
+  EXPECT_EQ(unix_listen(too_long, &error), -1);
+  EXPECT_NE(error.find("too long"), std::string::npos) << error;
   AnalysisServer server(ServerOptions{});
-  std::thread serving([&] {
-    EXPECT_EQ(server.serve_tcp("127.0.0.1", 0), ExitCode::kSuccess);
-  });
-  ASSERT_GT(wait_for_tcp_port(server), 0);
-  server.request_stop();
-  serving.join();
-  EXPECT_TRUE(server.stopped());
+  EXPECT_EQ(server.serve_socket(too_long), ExitCode::kFailure);
 }
 
 TEST(Server, TcpBindFailureReportsError) {
-  AnalysisServer blocker(ServerOptions{});
-  std::thread serving([&] { blocker.serve_tcp("127.0.0.1", 0); });
-  int port = wait_for_tcp_port(blocker);
-  ASSERT_GT(port, 0);
+  ServedSocket blocker(Family::kTcp);
+  ASSERT_TRUE(blocker.bound());
 
   AnalysisServer server(ServerOptions{});
   std::string error;
-  EXPECT_EQ(server.serve_tcp("127.0.0.1", port, &error), ExitCode::kFailure);
+  EXPECT_EQ(server.serve_tcp("127.0.0.1", blocker.server().tcp_port(), &error),
+            ExitCode::kFailure);
   EXPECT_NE(error.find("bind"), std::string::npos) << error;
-
-  blocker.request_stop();
-  serving.join();
 }
 
 }  // namespace

@@ -1,14 +1,12 @@
 #include "tools/commands.h"
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -768,19 +766,11 @@ ExitCode cmd_request(const std::string& source, const std::string& file,
       return ExitCode::kFailure;
     }
   } else {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (opts.socket.size() >= sizeof(addr.sun_path)) {
-      err << "request: socket path too long\n";
-      return ExitCode::kFailure;
-    }
-    std::strncpy(addr.sun_path, opts.socket.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0 ||
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-      if (fd >= 0) ::close(fd);
-      err << "request: cannot connect to " << opts.socket << '\n';
+    std::string uerr;
+    fd = unix_connect(opts.socket, &uerr);
+    if (fd < 0) {
+      err << "request: cannot connect to " << opts.socket << ": " << uerr
+          << '\n';
       return ExitCode::kFailure;
     }
   }
@@ -1288,6 +1278,14 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
       it = rest.erase(it);
     } else {
       ++it;
+    }
+  }
+  // Every flag the verb takes was consumed above; a flag left in `rest`
+  // is one this verb does not know (a lone "-" is stdin, not a flag).
+  for (const std::string& arg : rest) {
+    if (arg.rfind("--", 0) == 0) {
+      err << cmd << ": unknown option " << arg << '\n';
+      return ExitCode::kUsage;
     }
   }
   lint_opts.json = json;
